@@ -11,6 +11,7 @@ from .datasets import (
     generate_synthetic,
     inject_outlier,
     load_dataset_csv,
+    load_table_csv,
     save_dataset_csv,
     winsorize_outcomes,
 )

@@ -200,6 +200,8 @@ class BoostedEnsemble:
                 f"feature count {X.shape[1] if X.ndim == 2 else '?'} does not match "
                 f"training ({self.n_features})"
             )
+        if not np.all(np.isfinite(X)):
+            raise BoostingError("features contain non-finite values")
         out = np.full(X.shape[0], self.base_prediction)
         for eta, tree in zip(self.step_sizes, self.trees):
             out += eta * tree.predict(X)
@@ -223,6 +225,8 @@ def fit_boosted(features, targets, loss: LossSpec, config: BoostConfig) -> Boost
         raise BoostingError("targets contain non-finite values")
     if X.ndim != 2 or X.shape[0] != y.size:
         raise BoostingError("features and targets must have matching lengths")
+    if not np.all(np.isfinite(X)):
+        raise BoostingError("features contain non-finite values")
 
     if loss.kind == SQUARED:
         f0 = float(np.mean(y))
@@ -236,10 +240,7 @@ def fit_boosted(features, targets, loss: LossSpec, config: BoostConfig) -> Boost
     cur = loss_value(r, spec)
     trees, steps, trace = [], [], []
 
-    for t in range(config.n_rounds):
-        if loss.refresh_every > 0 and t > 0 and t % loss.refresh_every == 0 and loss.kind != SQUARED:
-            spec = replace(spec, scale=mad_scale(r))
-            cur = loss_value(r, spec)
+    for _ in range(config.n_rounds):
         _, w = gradient_and_weight(r, spec)
         tree = fit_tree(X, r, w, config)
         h = tree.predict(X)
@@ -346,6 +347,14 @@ def load_model(path) -> BoostedEnsemble:
             f"(expected {MODEL_FORMAT_VERSION})"
         )
     try:
+        loss_doc = {**doc["loss_spec"]}
+        # Older v1 files carry refresh_every, which only 0 (a fixed anchor) can mean now.
+        refresh_every = loss_doc.pop("refresh_every", 0)
+        if refresh_every != 0:
+            raise BoostingError(
+                f"{path}: refresh_every={refresh_every!r} is not supported; "
+                "the scale anchor is fixed"
+            )
         trees = [
             RegressionTree(
                 feature=np.asarray(td["feature"], dtype=np.int64),
@@ -360,7 +369,7 @@ def load_model(path) -> BoostedEnsemble:
             base_prediction=float(doc["base_prediction"]),
             trees=trees,
             step_sizes=[float(v) for v in doc["step_sizes"]],
-            loss_spec=LossSpec(**doc["loss_spec"]),
+            loss_spec=LossSpec(**loss_doc),
             loss_trace=np.asarray(doc["loss_trace"], dtype=float),
             config=BoostConfig(**doc["config"]),
             n_features=int(doc["n_features"]),

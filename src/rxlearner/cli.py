@@ -25,17 +25,19 @@ from .datasets import (
     generate_surrogate_covariates,
     generate_synthetic,
     load_dataset_csv,
+    load_table_csv,
     save_dataset_csv,
 )
 from .evaluation import (
+    REPORT_COLUMNS,
     EvaluationError,
     contamination_sweep,
     emit_curve_data,
+    report_rows,
+    report_summary,
     run_scenario,
     run_semi_synthetic,
     smearing_study,
-    write_report_csv,
-    write_report_json,
 )
 from .losses import GAMMA_WELSCH, SQUARED, LossSpec
 from .metalearners import MetaLearnerError, fit_meta, load_meta, predict_cate, save_meta
@@ -68,10 +70,7 @@ def _resolve_config(args) -> RunConfig:
 def _covariates_for(cfg: RunConfig, override_csv=None) -> np.ndarray:
     path = override_csv or cfg.covariates_csv
     if path is not None:
-        data = load_dataset_csv(path) if _looks_like_dataset(path) else None
-        if data is not None:
-            return data.features
-        return _load_plain_covariates(path)
+        return load_table_csv(path)[0]
     if cfg.surrogate is not None:
         return generate_surrogate_covariates(
             cfg.surrogate["rows"], cfg.surrogate["cols"], cfg.surrogate["seed"]
@@ -79,37 +78,17 @@ def _covariates_for(cfg: RunConfig, override_csv=None) -> np.ndarray:
     raise ConfigError("semi_synthetic runs need covariates_csv or a surrogate block")
 
 
-def _looks_like_dataset(path) -> bool:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-    return "w" in header and "y" in header
-
-
-def _load_plain_covariates(path) -> np.ndarray:
-    """Numeric covariate table: header f0..f{d-1} (or any names), one unit per row."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = []
-        for i, row in enumerate(reader):
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise DatasetError(f"{path}: non-numeric cell at row {i + 2}") from None
-    if not rows:
-        raise DatasetError(f"{path}: no data rows")
-    X = np.asarray(rows)
-    if X.shape[1] != len(header):
-        raise DatasetError(f"{path}: ragged rows")
-    return X
-
-
-def _write_formats(cfg, stem, report, extra=None):
-    fmt = getattr(cfg, "_format", None)
+def _write_outputs(fmt, out_dir, stem, header, rows, doc) -> None:
+    """Write ``<stem>.csv`` (header, then rows) and/or ``<stem>.json`` (doc);
+    ``fmt`` is the --format choice, None for both."""
     if fmt in (None, "csv"):
-        write_report_csv(report, os.path.join(cfg.out_dir, f"{stem}.csv"))
+        with open(os.path.join(out_dir, f"{stem}.csv"), "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
     if fmt in (None, "json"):
-        write_report_json(report, os.path.join(cfg.out_dir, f"{stem}.json"), extra=extra)
+        with open(os.path.join(out_dir, f"{stem}.json"), "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
 
 
 def cmd_simulate(args) -> int:
@@ -152,8 +131,8 @@ def cmd_fit(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_meta(args.model)
-    data = load_dataset_csv(args.dataset)
-    tau = predict_cate(model, data.features)
+    X, _ = load_table_csv(args.dataset)
+    tau = predict_cate(model, X)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tau_hat"])
@@ -165,7 +144,6 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _resolve_config(args)
-    cfg._format = args.format
     if not cfg.learners:
         raise ConfigError("evaluate requires at least one learner")
     if cfg.kind == "semi_synthetic":
@@ -176,7 +154,8 @@ def cmd_evaluate(args) -> int:
         if cfg.scenario is None:
             raise ConfigError("evaluate requires a scenario block")
         report = run_scenario(cfg.scenario, cfg.learners, cfg.n_trials, n_jobs=args.jobs)
-    _write_formats(cfg, "report", report)
+    _write_outputs(args.format, cfg.out_dir, "report", REPORT_COLUMNS, report_rows(report),
+                   report_summary(report))
     for name, agg in sorted(report.aggregated.items()):
         pm = agg.get("pehe_mean")
         cm = agg.get("core_pehe_mean")
@@ -186,31 +165,20 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
-    cfg._format = args.format
     if cfg.scenario is None or not cfg.rates:
         raise ConfigError("sweep requires a scenario block and a rates list")
     result = contamination_sweep(cfg.scenario, cfg.rates, cfg.learners,
                                  cfg.n_trials, n_jobs=args.jobs)
-    if args.format in (None, "csv"):
-        path = os.path.join(cfg.out_dir, "sweep.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["rate", "learner", "mean_pehe"])
-            for rate in result.rates:
-                for name in sorted(cfg.learners):
-                    writer.writerow([rate, name, repr(result.mean_pehe(rate, name))])
-    if args.format in (None, "json"):
-        doc = {
-            "rates": result.rates,
-            "mean_pehe": {
-                name: {str(r): result.mean_pehe(r, name) for r in result.rates}
-                for name in sorted(cfg.learners)
-            },
-        }
-        with open(os.path.join(cfg.out_dir, "sweep.json"), "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
+    names = sorted(cfg.learners)
+    _write_outputs(
+        args.format, cfg.out_dir, "sweep", ["rate", "learner", "mean_pehe"],
+        [[rate, name, repr(result.mean_pehe(rate, name))] for rate in result.rates for name in names],
+        {"rates": result.rates,
+         "mean_pehe": {name: {str(r): result.mean_pehe(r, name) for r in result.rates}
+                       for name in names}},
+    )
     for rate in result.rates:
-        row = ", ".join(f"{n}={result.mean_pehe(rate, n):.3f}" for n in sorted(cfg.learners))
+        row = ", ".join(f"{n}={result.mean_pehe(rate, n):.3f}" for n in names)
         print(f"rate {rate}: {row}")
     return 0
 
@@ -220,18 +188,12 @@ def cmd_smear(args) -> int:
     if cfg.scenario is None or not cfg.magnitudes:
         raise ConfigError("smear requires a scenario block and a magnitudes list")
     report = smearing_study(cfg.scenario, cfg.magnitudes, cfg.learners)
-    if args.format in (None, "csv"):
-        path = os.path.join(cfg.out_dir, "smear.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["magnitude", "learner", "shift"])
-            for mag in report.magnitudes:
-                for name in sorted(report.shifts):
-                    writer.writerow([mag, name, repr(report.shifts[name][mag])])
-    if args.format in (None, "json"):
-        doc = {name: {str(m): s for m, s in row.items()} for name, row in report.shifts.items()}
-        with open(os.path.join(cfg.out_dir, "smear.json"), "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
+    _write_outputs(
+        args.format, cfg.out_dir, "smear", ["magnitude", "learner", "shift"],
+        [[mag, name, repr(report.shifts[name][mag])]
+         for mag in report.magnitudes for name in sorted(report.shifts)],
+        {name: {str(m): s for m, s in row.items()} for name, row in report.shifts.items()},
+    )
     for mag in report.magnitudes:
         row = ", ".join(f"{n}={report.shifts[n][mag]:+.4f}" for n in sorted(report.shifts))
         print(f"magnitude {mag}: {row}")

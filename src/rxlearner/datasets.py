@@ -7,6 +7,7 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -387,7 +388,12 @@ def generate_surrogate_covariates(rows: int, cols: int, seed: int) -> np.ndarray
 
 
 # --- CSV serialization -------------------------------------------------------
-# Header: f0,...,f{d-1},w,y[,tau_true][,is_outlier]; UTF-8, '.' decimal.
+# Header: feature columns first (f0,...,f{d-1} when written here), then any of
+# w, y, tau_true, is_outlier; UTF-8, '.' decimal.
+
+#: Columns with a fixed meaning; every other column is a feature.
+NAMED_COLUMNS = ("w", "y", "tau_true", "is_outlier")
+
 
 def save_dataset_csv(data: CausalDataset, path) -> None:
     header = [f"f{j}" for j in range(data.n_features)] + ["w", "y"]
@@ -409,54 +415,69 @@ def save_dataset_csv(data: CausalDataset, path) -> None:
             writer.writerow(row)
 
 
-def load_dataset_csv(path) -> CausalDataset:
+def load_table_csv(path):
+    """Read a numeric CSV table as (features, named columns).
+
+    Every column other than w, y, tau_true and is_outlier is a feature, and
+    the feature columns come first. The named columns present are returned
+    as a dict of 1-D float arrays. Rows are numbered as lines of the file,
+    the header being row 1.
+    """
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        header = next(csv.reader([fh.readline()]))
+        if not header:
+            raise DatasetError(f"{path}: empty file")
+        d = next((j for j, h in enumerate(header) if h in NAMED_COLUMNS), len(header))
+        if d == 0:
+            raise DatasetError(f"{path}: no feature columns before {header[0]!r}")
+        misplaced = [h for h in header[d:] if h not in NAMED_COLUMNS]
+        if misplaced:
+            raise DatasetError(f"{path}: feature columns {misplaced} must come before {header[d]!r}")
+        if len(set(header)) != len(header):
+            raise DatasetError(f"{path}: duplicate column names in {header}")
+        with warnings.catch_warnings():
+            # an empty body is reported below, with the path
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            try:
+                values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            except ValueError as exc:
+                raise DatasetError(f"{path}: {_first_bad_row(path, header) or exc}") from None
+    if values.size == 0:
+        raise DatasetError(f"{path}: no data rows")
+    if values.shape[1] != len(header):
+        raise DatasetError(f"{path}: {_first_bad_row(path, header) or 'rows do not match the header'}")
+    named = {h: values[:, j] for j, h in enumerate(header) if j >= d}
+    # Copied out of the strided view: predict_cate on a 61,200 x 12 view ran ~13% slower.
+    return np.ascontiguousarray(values[:, :d]), named
+
+
+def _first_bad_row(path, header) -> Optional[str]:
+    """Locate the first ragged row or non-numeric cell of a table that failed to parse."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file") from None
-        rows = list(reader)
+        next(reader)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                return f"row {reader.line_num} has {len(row)} cells, expected {len(header)}"
+            for name, text in zip(header, row):
+                try:
+                    float(text)
+                except ValueError:
+                    return f"non-numeric cell at row {reader.line_num}, column {name!r}: {text!r}"
+    return None
 
-    feat_cols = [h for h in header if h.startswith("f") and h[1:].isdigit()]
-    expected = [f"f{j}" for j in range(len(feat_cols))]
-    if not feat_cols or feat_cols != header[: len(feat_cols)] or feat_cols != expected:
-        raise DatasetError(f"{path}: feature columns must lead the header as f0..f{{d-1}}")
+
+def load_dataset_csv(path) -> CausalDataset:
+    """Read a dataset CSV (see :func:`load_table_csv`); ``w`` and ``y`` are required."""
+    X, named = load_table_csv(path)
     for required in ("w", "y"):
-        if required not in header:
+        if required not in named:
             raise DatasetError(f"{path}: missing required column {required!r}")
-    known = set(expected) | {"w", "y", "tau_true", "is_outlier"}
-    unknown = [h for h in header if h not in known]
-    if unknown:
-        raise DatasetError(f"{path}: unknown columns {unknown}")
-    col = {h: header.index(h) for h in header}
-
-    def parse_cell(row_i, name, text, caster):
-        try:
-            return caster(text)
-        except ValueError:
-            raise DatasetError(
-                f"{path}: non-numeric cell at row {row_i + 2}, column {name!r}: {text!r}"
-            ) from None
-
-    d = len(feat_cols)
-    X = np.empty((len(rows), d))
-    w = np.empty(len(rows), dtype=np.int8)
-    y = np.empty(len(rows))
-    tau = np.empty(len(rows)) if "tau_true" in col else None
-    mask = np.empty(len(rows), dtype=np.int8) if "is_outlier" in col else None
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DatasetError(f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}")
-        for j in range(d):
-            X[i, j] = parse_cell(i, f"f{j}", row[j], float)
-        wv = parse_cell(i, "w", row[col["w"]], float)
-        if wv not in (0.0, 1.0):
-            raise DatasetError(f"{path}: non-binary treatment at row {i + 2}: {row[col['w']]!r}")
-        w[i] = int(wv)
-        y[i] = parse_cell(i, "y", row[col["y"]], float)
-        if tau is not None:
-            tau[i] = parse_cell(i, "tau_true", row[col["tau_true"]], float)
-        if mask is not None:
-            mask[i] = int(parse_cell(i, "is_outlier", row[col["is_outlier"]], float))
-    return CausalDataset(features=X, treatment=w, outcome=y, true_cate=tau, outlier_mask=mask)
+    w = named["w"]
+    bad = np.flatnonzero((w != 0.0) & (w != 1.0))
+    if bad.size:
+        raise DatasetError(f"{path}: non-binary treatment at row {bad[0] + 2}: {float(w[bad[0]])!r}")
+    return CausalDataset(features=X, treatment=w, outcome=named["y"],
+                         true_cate=named.get("tau_true"), outlier_mask=named.get("is_outlier"))

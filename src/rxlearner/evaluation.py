@@ -135,10 +135,24 @@ def evaluate_learners_on(
     return rows
 
 
-def _scenario_trial(args):
-    spec, learners, trial_seed = args
-    data = generate_synthetic(replace(spec, seed=trial_seed))
+def _trial(job):
+    generate, inputs, spec, learners, trial_seed = job
+    data = generate(*inputs, replace(spec, seed=trial_seed))
     return evaluate_learners_on(data, learners, seed=trial_seed)
+
+
+def _run_trials(generate, inputs, spec, learners, n_trials, n_jobs) -> EvalReport:
+    """Score ``generate(*inputs, spec)`` at trial seeds spec.seed + 0..n-1,
+    in up to n_jobs worker processes."""
+    if n_trials < 1:
+        raise EvaluationError("n_trials must be >= 1")
+    jobs = [(generate, inputs, spec, learners, spec.seed + t) for t in range(n_trials)]
+    if n_jobs > 1:
+        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+            results = list(pool.map(_trial, jobs))
+    else:
+        results = [_trial(j) for j in jobs]
+    return EvalReport.from_trials([row for trial in results for row in trial])
 
 
 def run_scenario(
@@ -148,16 +162,7 @@ def run_scenario(
     n_jobs: int = 1,
 ) -> EvalReport:
     """Repeat generate/split/fit/score over trial seeds spec.seed + 0..n-1."""
-    if n_trials < 1:
-        raise EvaluationError("n_trials must be >= 1")
-    jobs = [(spec, learners, spec.seed + t) for t in range(n_trials)]
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(_scenario_trial, jobs))
-    else:
-        results = [_scenario_trial(j) for j in jobs]
-    rows = [row for trial in results for row in trial]
-    return EvalReport.from_trials(rows)
+    return _run_trials(generate_synthetic, (), spec, learners, n_trials, n_jobs)
 
 
 @dataclass
@@ -227,12 +232,6 @@ def smearing_study(
     return SmearReport(magnitudes=mags, shifts=shifts)
 
 
-def _semi_trial(args):
-    features, sspec, learners, trial_seed = args
-    data = apply_semi_synthetic_dgp(features, replace(sspec, seed=trial_seed))
-    return evaluate_learners_on(data, learners, seed=trial_seed)
-
-
 def run_semi_synthetic(
     features: np.ndarray,
     spec: SemiSyntheticSpec,
@@ -241,16 +240,7 @@ def run_semi_synthetic(
     n_jobs: int = 1,
 ) -> EvalReport:
     """Displacement-scenario runner: fixed covariates, per-trial DGP seeds."""
-    if n_trials < 1:
-        raise EvaluationError("n_trials must be >= 1")
-    jobs = [(features, spec, learners, spec.seed + t) for t in range(n_trials)]
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(_semi_trial, jobs))
-    else:
-        results = [_semi_trial(j) for j in jobs]
-    rows = [row for trial in results for row in trial]
-    return EvalReport.from_trials(rows)
+    return _run_trials(apply_semi_synthetic_dgp, (features,), spec, learners, n_trials, n_jobs)
 
 
 def emit_curve_data(
@@ -284,18 +274,28 @@ def emit_curve_data(
 
 # --- report emission ---------------------------------------------------------
 
+REPORT_COLUMNS = ["scenario", "rate", "seed", "learner", "metric", "value"]
+
+
+def report_rows(report: EvalReport, scenario: str = "", rate: float = float("nan")) -> list:
+    """Long-format rows under REPORT_COLUMNS: one per metric value or error."""
+    rows = []
+    for row in report.per_trial:
+        for metric in ("pehe", "core_pehe", "ate_bias"):
+            value = getattr(row, metric)
+            if value is not None:
+                rows.append([scenario, rate, row.seed, row.learner, metric, repr(value)])
+        if row.error is not None:
+            rows.append([scenario, rate, row.seed, row.learner, "error", row.error])
+    return rows
+
+
 def write_report_csv(report: EvalReport, path, scenario: str = "", rate: float = float("nan")) -> None:
-    """Long-format rows: scenario, rate, seed, learner, metric, value."""
+    """Long-format CSV: REPORT_COLUMNS, then :func:`report_rows`."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["scenario", "rate", "seed", "learner", "metric", "value"])
-        for row in report.per_trial:
-            for metric in ("pehe", "core_pehe", "ate_bias"):
-                value = getattr(row, metric)
-                if value is not None:
-                    writer.writerow([scenario, rate, row.seed, row.learner, metric, repr(value)])
-            if row.error is not None:
-                writer.writerow([scenario, rate, row.seed, row.learner, "error", row.error])
+        writer.writerow(REPORT_COLUMNS)
+        writer.writerows(report_rows(report, scenario, rate))
 
 
 def report_summary(report: EvalReport) -> dict:
@@ -306,9 +306,6 @@ def report_summary(report: EvalReport) -> dict:
     }
 
 
-def write_report_json(report: EvalReport, path, extra: Optional[dict] = None) -> None:
-    doc = report_summary(report)
-    if extra:
-        doc.update(extra)
+def write_report_json(report: EvalReport, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump(report_summary(report), fh, indent=2)

@@ -1,8 +1,7 @@
 """Robust loss family: squared error, Huber, and the Welsch (exponential) loss.
 
 All functions are pure and vectorized over residual arrays. The Welsch loss
-uses a fixed scale anchor estimated once via MAD; refreshing the anchor is
-supported but off by default.
+uses a fixed scale anchor, estimated once via MAD of the initial residuals.
 """
 
 from __future__ import annotations
@@ -29,15 +28,14 @@ class LossSpec:
     """Objective family plus its robustness parameters.
 
     ``scale`` is the anchor sigma-hat. It is a placeholder until a fitting
-    routine resolves it from the data (see :func:`rxlearner.boosting.fit_boosted`).
-    ``refresh_every`` = 0 means the anchor stays fixed after initialization.
+    routine resolves it from the data (see :func:`rxlearner.boosting.fit_boosted`),
+    after which it stays fixed.
     """
 
     kind: str = GAMMA_WELSCH
     gamma: float = 0.2
     delta_multiplier: float = 1.345
     scale: float = 1.0
-    refresh_every: int = 0
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:

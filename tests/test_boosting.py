@@ -213,6 +213,15 @@ class TestFitBoosted:
             fit_boosted(np.ones((3, 1)), np.array([1.0, np.nan, 2.0]),
                         LossSpec(kind=SQUARED), BoostConfig())
 
+    def test_rejects_non_finite_features(self):
+        X = np.arange(20.0).reshape(10, 2)
+        model = fit_boosted(X, np.arange(10.0), LossSpec(kind=SQUARED), BoostConfig(n_rounds=2))
+        with pytest.raises(BoostingError, match="non-finite"):
+            model.predict(np.full((1, 2), np.nan))
+        X[3, 1] = np.inf
+        with pytest.raises(BoostingError, match="non-finite"):
+            fit_boosted(X, np.arange(10.0), LossSpec(kind=SQUARED), BoostConfig(n_rounds=2))
+
     def test_predict_checks_feature_count(self):
         X = np.ones((10, 2))
         model = fit_boosted(X, np.arange(10.0), LossSpec(kind=SQUARED), BoostConfig(n_rounds=2))
@@ -245,6 +254,25 @@ class TestModelIO:
         path.write_text(json.dumps(doc))
         with pytest.raises(BoostingError, match="version"):
             load_model(path)
+
+    @pytest.mark.parametrize("refresh_every", [0, 5])
+    def test_v1_file_with_refresh_every(self, tmp_path, refresh_every):
+        # v1 files written before refresh_every was removed carry the key, always as 0.
+        X = np.arange(20.0).reshape(10, 2)
+        model = fit_boosted(X, np.arange(10.0), LossSpec(kind=GAMMA_WELSCH), BoostConfig(n_rounds=3))
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        import json
+        doc = json.loads(path.read_text())
+        doc["loss_spec"]["refresh_every"] = refresh_every
+        path.write_text(json.dumps(doc))
+        if refresh_every:
+            with pytest.raises(BoostingError, match="refresh_every=5"):
+                load_model(path)
+        else:
+            back = load_model(path)
+            assert back.loss_spec == model.loss_spec
+            np.testing.assert_array_equal(back.predict(X), model.predict(X))
 
     def test_malformed_file_rejected(self, tmp_path):
         path = tmp_path / "m.json"

@@ -5,7 +5,7 @@ import pytest
 
 from rxlearner.cli import main
 from rxlearner.datasets import load_dataset_csv
-from rxlearner.metalearners import fit_meta, predict_cate, rx_spec
+from rxlearner.metalearners import fit_meta, load_meta, predict_cate, rx_spec
 from rxlearner.boosting import BoostConfig
 
 TINY = """
@@ -68,6 +68,23 @@ class TestFitPredict:
         )
         got = np.loadtxt(preds, skiprows=1)
         np.testing.assert_array_equal(got, expected)
+
+    def test_predict_accepts_features_only_csv(self, tiny_config, tmp_path):
+        sim = tmp_path / "sim"
+        main(["simulate", "--config", tiny_config, "--out-dir", str(sim)])
+        dataset = str(sim / "dataset.csv")
+        model_dir = str(tmp_path / "model")
+        assert main(["fit", dataset, "--config", tiny_config, "--model-out", model_dir]) == 0
+        X = load_dataset_csv(dataset).features
+        features = tmp_path / "features.csv"
+        features.write_text(
+            ",".join(f"f{j}" for j in range(X.shape[1])) + "\n"
+            + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in X)
+        )
+        preds = tmp_path / "preds.csv"
+        assert main(["predict", model_dir, str(features), str(preds)]) == 0
+        expected = predict_cate(load_meta(model_dir), X)
+        assert np.loadtxt(preds, skiprows=1).tobytes() == expected.tobytes()
 
     def test_fit_requires_single_learner(self, tmp_path, tiny_config):
         cfg = tmp_path / "two.yaml"
@@ -137,6 +154,22 @@ class TestSemiSynthetic:
         data = load_dataset_csv(out / "dataset.csv")
         assert data.n_units == 600
         assert main(["evaluate", "--config", str(cfg), "--out-dir", str(out)]) == 0
+
+
+    def test_covariate_csv_with_any_header(self, tmp_path):
+        cfg = tmp_path / "semi.yaml"
+        cfg.write_text(
+            "version: 1\nkind: semi_synthetic\nseed: 5\nn_trials: 1\n"
+            "semi_synthetic: {treated_fraction: 0.1}\n"
+            "learners:\n  - {name: rx, kind: rx, boost: {n_rounds: 15}}\n"
+        )
+        X = np.random.default_rng(0).normal(size=(300, 3))
+        cov = tmp_path / "cov.csv"
+        np.savetxt(cov, X, delimiter=",", header="a,b,c", comments="", fmt="%.17g")
+        out = tmp_path / "ss"
+        assert main(["semisynthetic", str(cov), "--config", str(cfg), "--out-dir", str(out)]) == 0
+        data = load_dataset_csv(out / "dataset.csv")
+        assert data.features.tobytes() == X.tobytes()
 
 
 class TestExitCodes:

@@ -14,6 +14,7 @@ from rxlearner.datasets import (
     generate_synthetic,
     inject_outlier,
     load_dataset_csv,
+    load_table_csv,
     save_dataset_csv,
     winsorize_outcomes,
 )
@@ -306,3 +307,36 @@ class TestCsvRoundTrip:
         path.write_text("f0,w,y,extra\n0.5,1,2.0,9\n")
         with pytest.raises(DatasetError, match="extra"):
             load_dataset_csv(path)
+
+
+class TestTableReader:
+    def test_dataset_values_read_bit_exact(self, tmp_path):
+        data = small_dataset(n=50, seed=3)
+        path = tmp_path / "d.csv"
+        save_dataset_csv(data, path)
+        X, named = load_table_csv(path)
+        assert X.tobytes() == data.features.tobytes()
+        assert named["y"].tobytes() == data.outcome.tobytes()
+        assert sorted(named) == ["is_outlier", "tau_true", "w", "y"]
+
+    def test_any_feature_names_without_named_columns(self, tmp_path):
+        path = tmp_path / "cov.csv"
+        path.write_text("a,b,c\n1.5,2,3\n4,5,6e-1\n")
+        X, named = load_table_csv(path)
+        np.testing.assert_array_equal(X, [[1.5, 2.0, 3.0], [4.0, 5.0, 0.6]])
+        assert named == {}
+
+    @pytest.mark.parametrize("text, cause", [
+        ("", "empty file"),
+        ("f0,w,y\n", "no data rows"),
+        ("f0,w,y\n0.5,1,2.0\n0.2,0\n", "row 3 has 2 cells, expected 3"),
+        ("f0,w,y\n0.5,1\n0.2,0\n", "row 2 has 2 cells, expected 3"),
+        ("w,y\n1,2.0\n", "no feature columns"),
+        ("f0,w,f1,y\n0.5,1,2.0,3.0\n", r"\['f1'\] must come before 'w'"),
+        ("f0,w,w,y\n0.5,1,0,3.0\n", "duplicate column names"),
+    ])
+    def test_malformed_table_names_cause(self, tmp_path, text, cause):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DatasetError, match=cause):
+            load_table_csv(path)

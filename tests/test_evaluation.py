@@ -159,6 +159,13 @@ class TestRunners:
         report = run_semi_synthetic(X, spec, {"rx": rx_spec(boost_config=FAST)}, n_trials=1)
         assert report.aggregated["rx"]["n_ok"] == 1.0
 
+    def test_semi_synthetic_parallel_matches_serial(self):
+        X = generate_surrogate_covariates(600, 4, seed=0)
+        spec = SemiSyntheticSpec(treated_fraction=0.1, seed=1)
+        serial = run_semi_synthetic(X, spec, FAST_LEARNERS, n_trials=2, n_jobs=1)
+        parallel = run_semi_synthetic(X, spec, FAST_LEARNERS, n_trials=2, n_jobs=2)
+        assert serial.aggregated == parallel.aggregated
+
 
 class TestSmearing:
     def test_baseline_row_exactly_zero(self):

@@ -29,7 +29,6 @@ class TestLossSpec:
         assert spec.kind == GAMMA_WELSCH
         assert spec.gamma == 0.2
         assert spec.scale == 1.0
-        assert spec.refresh_every == 0
 
     def test_huber_delta(self):
         spec = LossSpec(kind=HUBER, delta_multiplier=1.345, scale=2.0)
