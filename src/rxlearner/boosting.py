@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace, asdict
 import numpy as np
 
 from .losses import (
-    GAMMA_WELSCH,
     SQUARED,
     WEIGHT_FLOOR,
     LossSpec,
@@ -92,44 +91,61 @@ def _weighted_mean(t: np.ndarray, w: np.ndarray) -> float:
 def _best_split_for_feature(xs, ts, ws, config: BoostConfig):
     """Best (gain, threshold) on one feature via prefix sums over sorted values.
 
+    ``xs`` must be in ascending order, with ``ts`` and ``ws`` aligned to it.
     Gain is the weighted-SSE reduction. Returns (-inf, nan) when no valid
     split exists. Ties on gain resolve to the lowest threshold (argmax picks
     the first position in ascending threshold order).
     """
-    order = np.argsort(xs, kind="stable")
-    xs, ts, ws = xs[order], ts[order], ws[order]
+    wt = ws * ts
     cw = np.cumsum(ws)
-    cwt = np.cumsum(ws * ts)
-    cwt2 = np.cumsum(ws * ts * ts)
+    cwt = np.cumsum(wt)
+    cwt2 = np.cumsum(wt * ts)
     total_w, total_wt, total_wt2 = cw[-1], cwt[-1], cwt2[-1]
     total_sse = total_wt2 - total_wt * total_wt / total_w
 
-    n = xs.size
-    pos = np.arange(n - 1)  # left block = [0..pos]
-    valid = xs[pos] < xs[pos + 1]
-    left_n = pos + 1
-    right_n = n - left_n
-    valid &= (left_n >= config.min_samples_leaf) & (right_n >= config.min_samples_leaf)
-    lw = cw[pos]
+    # The left block xs[:pos + 1] keeps min_samples_leaf rows on each side
+    # for pos in [lo, hi).
+    lo, hi = config.min_samples_leaf - 1, xs.size - config.min_samples_leaf
+    valid = xs[lo:hi] < xs[lo + 1:hi + 1]
+    lw = cw[lo:hi]
     rw = total_w - lw
     valid &= (lw >= config.min_child_weight) & (rw >= config.min_child_weight)
     if not np.any(valid):
         return -np.inf, np.nan
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        sse_l = cwt2[pos] - cwt[pos] ** 2 / lw
-        sse_r = (total_wt2 - cwt2[pos]) - (total_wt - cwt[pos]) ** 2 / rw
+        sse_l = cwt2[lo:hi] - cwt[lo:hi] ** 2 / lw
+        sse_r = (total_wt2 - cwt2[lo:hi]) - (total_wt - cwt[lo:hi]) ** 2 / rw
     gain = np.where(valid, total_sse - (sse_l + sse_r), -np.inf)
-    best = int(np.argmax(gain))
-    return float(gain[best]), float(0.5 * (xs[best] + xs[best + 1]))
+    best = lo + int(np.argmax(gain))
+    return float(gain[best - lo]), float(0.5 * (xs[best] + xs[best + 1]))
 
 
-def fit_tree(X, targets, instance_weights, config: BoostConfig) -> RegressionTree:
+def _feature_order(X: np.ndarray) -> np.ndarray:
+    """Stable argsort of every column of X, as a contiguous (d, n) int32 array.
+
+    Row j lists the row indices in ascending order of feature j, ties in
+    ascending row order. The matrix does not change inside a boosting fit, so
+    the fit sorts once and every tree reuses the index.
+    """
+    n, d = X.shape
+    order = np.empty((d, n), dtype=np.int32)
+    for j in range(d):
+        order[j] = np.argsort(X[:, j], kind="stable")
+    return order
+
+
+def fit_tree(X, targets, instance_weights, config: BoostConfig, *, order=None) -> RegressionTree:
     """Greedy top-down weighted CART; each split maximizes weighted-SSE reduction.
 
     Leaf value is the weighted mean of its targets (the exact weighted
     least-squares minimizer, i.e. the MM inner step). Split ties resolve to
     the lowest feature index, then the lowest threshold.
+
+    ``order`` is the feature index of :func:`_feature_order` for X; it is built
+    here when omitted. Each node splits its per-feature sorted row lists
+    stably instead of sorting again (the exact presorted method), so every
+    prefix sum adds in the same order as a per-node stable sort would.
     """
     X = np.asarray(X, dtype=float)
     t = np.asarray(targets, dtype=float)
@@ -139,39 +155,53 @@ def fit_tree(X, targets, instance_weights, config: BoostConfig) -> RegressionTre
     if np.any(w < 0) or not np.any(w > 0):
         raise BoostingError("weights must be nonnegative with at least one positive")
     w = np.maximum(w, WEIGHT_FLOOR)
+    n, d = X.shape
+    if order is None:
+        order = _feature_order(X)
+    elif np.shape(order) != (d, n):
+        raise BoostingError(f"feature order has shape {np.shape(order)}, expected {(d, n)}")
+    in_left = np.zeros(n, dtype=bool)  # reused: each split writes, then reads, its own rows
 
     feature, threshold, left, right, value = [], [], [], [], []
-
-    def new_node():
+    # Depth-first with an explicit stack, numbering nodes in pre-order. Each
+    # entry: the node's rows in ascending row order, its (d, rows) feature
+    # index (row j sorted by feature j; None at max_depth), its depth, and the
+    # parent's child list and index to point at it. A recursive closure would
+    # be a reference cycle, keeping each call's arrays (and the index) alive
+    # until a full garbage collection.
+    stack = [(np.arange(n), order, 0, None, -1)]
+    while stack:
+        idx, node_order, depth, children, parent = stack.pop()
+        node = len(feature)
+        if children is not None:
+            children[parent] = node
         feature.append(-1)
         threshold.append(np.nan)
         left.append(-1)
         right.append(-1)
         value.append(0.0)
-        return len(feature) - 1
-
-    def build(idx: np.ndarray, depth: int) -> int:
-        node = new_node()
-        ts, ws = t[idx], w[idx]
-        if depth >= config.max_depth or idx.size < 2 * config.min_samples_leaf:
-            value[node] = _weighted_mean(ts, ws)
-            return node
         best_gain, best_feat, best_thr = 1e-12, -1, np.nan
-        for j in range(X.shape[1]):
-            gain, thr = _best_split_for_feature(X[idx, j], ts, ws, config)
-            if gain > best_gain:
-                best_gain, best_feat, best_thr = gain, j, thr
+        if depth < config.max_depth and idx.size >= 2 * config.min_samples_leaf:
+            for j in range(d):
+                o = node_order[j]
+                gain, thr = _best_split_for_feature(X[o, j], t[o], w[o], config)
+                if gain > best_gain:
+                    best_gain, best_feat, best_thr = gain, j, thr
         if best_feat < 0:
-            value[node] = _weighted_mean(ts, ws)
-            return node
-        go_left = X[idx, best_feat] <= best_thr
+            value[node] = _weighted_mean(t[idx], w[idx])
+            continue
         feature[node] = best_feat
         threshold[node] = best_thr
-        left[node] = build(idx[go_left], depth + 1)
-        right[node] = build(idx[~go_left], depth + 1)
-        return node
-
-    build(np.arange(X.shape[0]), 0)
+        go_left = X[idx, best_feat] <= best_thr
+        left_order = right_order = None  # children at max_depth are leaves
+        if depth + 1 < config.max_depth:
+            n_left = int(np.count_nonzero(go_left))
+            in_left[idx] = go_left
+            mask = in_left[node_order]
+            left_order = node_order[mask].reshape(d, n_left)
+            right_order = node_order[~mask].reshape(d, idx.size - n_left)
+        stack.append((idx[~go_left], right_order, depth + 1, right, node))
+        stack.append((idx[go_left], left_order, depth + 1, left, node))
     return RegressionTree(
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold, dtype=float),
@@ -240,9 +270,10 @@ def fit_boosted(features, targets, loss: LossSpec, config: BoostConfig) -> Boost
     cur = loss_value(r, spec)
     trees, steps, trace = [], [], []
 
+    order = _feature_order(X)
     for _ in range(config.n_rounds):
         _, w = gradient_and_weight(r, spec)
-        tree = fit_tree(X, r, w, config)
+        tree = fit_tree(X, r, w, config, order=order)
         h = tree.predict(X)
         eta = config.learning_rate
         accepted = False
@@ -284,10 +315,11 @@ def fit_boosted_logistic(features, labels, config: BoostConfig) -> BoostedEnsemb
     f0 = float(np.log(p0 / (1 - p0)))
     F = np.full(z.size, f0)
     trees, steps, trace = [], [], []
+    order = _feature_order(X)
     for _ in range(config.n_rounds):
         p = 1.0 / (1.0 + np.exp(-F))
         resid = z - p
-        tree = fit_tree(X, resid, np.ones_like(resid), config)
+        tree = fit_tree(X, resid, np.ones_like(resid), config, order=order)
         F = F + config.learning_rate * tree.predict(X)
         trees.append(tree)
         steps.append(config.learning_rate)
@@ -350,11 +382,14 @@ def load_model(path) -> BoostedEnsemble:
         loss_doc = {**doc["loss_spec"]}
         # Older v1 files carry refresh_every, which only 0 (a fixed anchor) can mean now.
         refresh_every = loss_doc.pop("refresh_every", 0)
-        if refresh_every != 0:
-            raise BoostingError(
-                f"{path}: refresh_every={refresh_every!r} is not supported; "
-                "the scale anchor is fixed"
-            )
+    except (KeyError, TypeError) as exc:
+        raise BoostingError(f"{path}: malformed model file: {exc}") from None
+    if refresh_every != 0:
+        raise BoostingError(
+            f"{path}: refresh_every={refresh_every!r} is not supported; "
+            "the scale anchor is fixed"
+        )
+    try:
         trees = [
             RegressionTree(
                 feature=np.asarray(td["feature"], dtype=np.int64),
@@ -374,5 +409,6 @@ def load_model(path) -> BoostedEnsemble:
             config=BoostConfig(**doc["config"]),
             n_features=int(doc["n_features"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
+        # ValueError: an out-of-range LossSpec or BoostConfig field, or a non-numeric array.
         raise BoostingError(f"{path}: malformed model file: {exc}") from None

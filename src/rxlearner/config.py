@@ -18,7 +18,7 @@ from .datasets import (
     ScenarioSpec,
     SemiSyntheticSpec,
 )
-from .losses import GAMMA_WELSCH, HUBER, SQUARED, LossSpec
+from .losses import LossSpec
 from .metalearners import (
     AggregationScheme,
     MetaLearnerSpec,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rxlearner.boosting import (
     BoostConfig,
@@ -12,7 +13,7 @@ from rxlearner.boosting import (
     save_model,
 )
 from rxlearner.datasets import generate_1d_qualitative
-from rxlearner.losses import GAMMA_WELSCH, HUBER, SQUARED, LossSpec
+from rxlearner.losses import GAMMA_WELSCH, HUBER, SQUARED, WEIGHT_FLOOR, LossSpec
 
 LOOSE = BoostConfig(min_samples_leaf=1, min_child_weight=0.0)
 
@@ -116,6 +117,124 @@ class TestFitTree:
             fit_tree(np.ones((3, 1)), np.ones(2), np.ones(3), BoostConfig())
         with pytest.raises(BoostingError):
             fit_tree(np.ones((3, 1)), np.ones(3), -np.ones(3), BoostConfig())
+
+
+def reference_fit_tree(X, t, w, config):
+    """Weighted CART that stably argsorts every feature at every node.
+
+    The split search as it was before the presorted feature index; fit_tree
+    must build bit-identical trees.
+    """
+    w = np.maximum(w, WEIGHT_FLOOR)
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def best_split(xs, ts, ws):
+        order = np.argsort(xs, kind="stable")
+        xs, ts, ws = xs[order], ts[order], ws[order]
+        cw, cwt, cwt2 = np.cumsum(ws), np.cumsum(ws * ts), np.cumsum(ws * ts * ts)
+        total_w, total_wt, total_wt2 = cw[-1], cwt[-1], cwt2[-1]
+        pos = np.arange(xs.size - 1)
+        valid = ((xs[pos] < xs[pos + 1]) & (pos + 1 >= config.min_samples_leaf)
+                 & (xs.size - pos - 1 >= config.min_samples_leaf))
+        lw = cw[pos]
+        rw = total_w - lw
+        valid &= (lw >= config.min_child_weight) & (rw >= config.min_child_weight)
+        if not np.any(valid):
+            return -np.inf, np.nan
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sse_l = cwt2[pos] - cwt[pos] ** 2 / lw
+            sse_r = (total_wt2 - cwt2[pos]) - (total_wt - cwt[pos]) ** 2 / rw
+        total_sse = total_wt2 - total_wt * total_wt / total_w
+        gain = np.where(valid, total_sse - (sse_l + sse_r), -np.inf)
+        best = int(np.argmax(gain))
+        return float(gain[best]), float(0.5 * (xs[best] + xs[best + 1]))
+
+    def build(idx, depth):
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(np.nan)
+        left.append(-1)
+        right.append(-1)
+        ts, ws = t[idx], w[idx]
+        value.append(float(np.sum(ws * ts) / np.sum(ws)))
+        if depth >= config.max_depth or idx.size < 2 * config.min_samples_leaf:
+            return node
+        best_gain, best_feat, best_thr = 1e-12, -1, np.nan
+        for j in range(X.shape[1]):
+            gain, thr = best_split(X[idx, j], ts, ws)
+            if gain > best_gain:
+                best_gain, best_feat, best_thr = gain, j, thr
+        if best_feat < 0:
+            return node
+        go_left = X[idx, best_feat] <= best_thr
+        feature[node], threshold[node], value[node] = best_feat, best_thr, 0.0
+        left[node] = build(idx[go_left], depth + 1)
+        right[node] = build(idx[~go_left], depth + 1)
+        return node
+
+    build(np.arange(X.shape[0]), 0)
+    return (np.asarray(feature, dtype=np.int64), np.asarray(threshold, dtype=float),
+            np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64),
+            np.asarray(value, dtype=float))
+
+
+def tree_arrays(tree):
+    return tree.feature, tree.threshold, tree.left, tree.right, tree.value
+
+
+@st.composite
+def tree_problems(draw):
+    """Small problems with many tied feature values, a possibly constant
+    column, zero weights and leaf-size limits that bind exactly."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 3))
+    levels = draw(st.integers(1, 6))
+    cells = draw(st.lists(st.integers(0, levels - 1), min_size=n * d, max_size=n * d))
+    X = np.asarray(cells, dtype=float).reshape(n, d) * draw(st.sampled_from([1.0, 0.1, -2.5]))
+    if draw(st.booleans()):
+        X[:, draw(st.integers(0, d - 1))] = 3.0
+    # Thirds and tenths are inexact, so prefix sums taken in another order differ.
+    t = np.asarray(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))) / 3.0
+    w = np.asarray(draw(st.lists(st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0, 2.0]),
+                                 min_size=n, max_size=n)))
+    if not np.any(w > 0):
+        w[draw(st.integers(0, n - 1))] = 1.0
+    config = BoostConfig(
+        max_depth=draw(st.integers(1, 4)),
+        min_samples_leaf=draw(st.integers(1, 6)),
+        min_child_weight=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])),
+    )
+    return X, t, w, config
+
+
+class TestPresortedSplitSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(tree_problems())
+    def test_bit_identical_to_per_node_sort(self, problem):
+        X, t, w, config = problem
+        got = tree_arrays(fit_tree(X, t, w, config))
+        want = reference_fit_tree(X, t, w, config)
+        for name, a, b in zip(("feature", "threshold", "left", "right", "value"), got, want):
+            assert np.array_equal(a, b, equal_nan=True), name
+
+    def test_given_order_matches_built_order(self):
+        from rxlearner.boosting import _feature_order
+        rng = np.random.default_rng(8)
+        X = np.round(rng.normal(size=(300, 4)), 1)
+        t = rng.normal(size=300)
+        w = rng.uniform(0.0, 2.0, size=300)
+        a = fit_tree(X, t, w, BoostConfig(max_depth=4))
+        b = fit_tree(X, t, w, BoostConfig(max_depth=4), order=_feature_order(X))
+        for x, y in zip(tree_arrays(a), tree_arrays(b)):
+            assert np.array_equal(x, y, equal_nan=True)
+
+    def test_order_of_wrong_shape_rejected(self):
+        from rxlearner.boosting import _feature_order
+        X = np.arange(12.0).reshape(6, 2)
+        with pytest.raises(BoostingError, match="shape"):
+            fit_tree(X, np.arange(6.0), np.ones(6), BoostConfig(), order=_feature_order(X).T)
+        with pytest.raises(BoostingError, match="shape"):
+            fit_tree(X, np.arange(6.0), np.ones(6), BoostConfig(), order=_feature_order(X[:5]))
 
 
 class TestBoostConfig:

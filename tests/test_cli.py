@@ -1,4 +1,5 @@
 import filecmp
+import json
 
 import numpy as np
 import pytest
@@ -186,6 +187,20 @@ class TestExitCodes:
     def test_missing_dataset_file(self, tiny_config, tmp_path):
         assert main(["fit", str(tmp_path / "missing.csv"), "--config", tiny_config,
                      "--model-out", str(tmp_path / "m")]) == 1
+
+    def test_out_of_range_bundle_value_is_validation_error(self, tiny_config, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        main(["simulate", "--config", tiny_config, "--out-dir", str(sim)])
+        dataset = str(sim / "dataset.csv")
+        model_dir = tmp_path / "model"
+        assert main(["fit", dataset, "--config", tiny_config, "--model-out", str(model_dir)]) == 0
+        part = model_dir / "mu0.json"
+        doc = json.loads(part.read_text())
+        doc["loss_spec"]["gamma"] = 0.0
+        part.write_text(json.dumps(doc))
+        assert main(["predict", str(model_dir), dataset, str(tmp_path / "preds.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "mu0.json" in err and "gamma" in err
 
     def test_runtime_error_exit_two(self, tiny_config, tmp_path):
         # out-dir collides with an existing file: OS error past validation

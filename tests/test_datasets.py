@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import rxlearner.datasets as datasets_module
 from rxlearner.datasets import (
     CausalDataset,
     ContaminationSpec,
@@ -277,6 +278,29 @@ class TestCsvRoundTrip:
         save_dataset_csv(data, path)
         back = load_dataset_csv(path)
         assert back.true_cate is None and back.outlier_mask is None
+
+    @pytest.mark.parametrize("block_rows", [2, 1024])
+    @pytest.mark.parametrize("ground_truth", [False, True])
+    def test_golden_bytes(self, tmp_path, monkeypatch, ground_truth, block_rows):
+        # Each value is its repr (so -0.0, 1e-300 and 1e+16 survive) and lines end in CRLF.
+        monkeypatch.setattr(datasets_module, "CSV_WRITE_ROWS", block_rows)
+        X = np.array([[-0.0, 1e-300], [1e16, 0.1], [2.0, -1.5e-7]])
+        extra = dict(true_cate=np.array([0.5, -0.0, 1e16]),
+                     outlier_mask=np.array([0, 1, 0])) if ground_truth else {}
+        data = CausalDataset(X, np.array([1, 0, 1]), np.array([2.5, -3.0, 1e-300]), **extra)
+        path = tmp_path / "d.csv"
+        save_dataset_csv(data, path)
+        if ground_truth:
+            expected = (b"f0,f1,w,y,tau_true,is_outlier\r\n"
+                        b"-0.0,1e-300,1,2.5,0.5,0\r\n"
+                        b"1e+16,0.1,0,-3.0,-0.0,1\r\n"
+                        b"2.0,-1.5e-07,1,1e-300,1e+16,0\r\n")
+        else:
+            expected = (b"f0,f1,w,y\r\n"
+                        b"-0.0,1e-300,1,2.5\r\n"
+                        b"1e+16,0.1,0,-3.0\r\n"
+                        b"2.0,-1.5e-07,1,1e-300\r\n")
+        assert path.read_bytes() == expected
 
     def test_missing_y_column_named_in_error(self, tmp_path):
         path = tmp_path / "bad.csv"

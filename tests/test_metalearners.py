@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -232,6 +234,55 @@ class TestFitMeta:
         a = predict_cate(fit_meta(data, rx_spec(boost_config=FAST)), data.features)
         b = predict_cate(fit_meta(data, rx_spec(boost_config=FAST)), data.features)
         np.testing.assert_array_equal(a, b)
+
+
+INVARIANT_SPECS = {"rx": rx_spec, "mse_x": mse_x_spec, "huber_x": huber_x_spec}
+EPS = np.finfo(float).eps
+
+
+@pytest.fixture(scope="module")
+def invariant_data():
+    return generate_synthetic(ScenarioSpec(n=300, treated_fraction=0.3, seed=9,
+                                           contamination=ContaminationSpec(rate=0.1)))
+
+
+def fitted_cate(data, learner, outcome=None):
+    if outcome is not None:
+        data = replace(data, outcome=outcome)
+    spec = INVARIANT_SPECS[learner](boost_config=BoostConfig(n_rounds=20))
+    return predict_cate(fit_meta(data, spec), data.features)
+
+
+class TestInvariants:
+    """Properties the estimator has exactly in real arithmetic; the tolerances
+    allow a few dozen units of rounding at the scale of the values compared."""
+
+    @pytest.mark.parametrize("learner", sorted(INVARIANT_SPECS))
+    @pytest.mark.parametrize("k", [10.0, 1e-3])
+    def test_scaling_outcomes_scales_cate(self, invariant_data, learner, k):
+        base = fitted_cate(invariant_data, learner)
+        scaled = fitted_cate(invariant_data, learner, invariant_data.outcome * k)
+        assert np.max(np.abs(scaled - k * base)) <= 64 * EPS * np.max(np.abs(k * base))
+
+    @pytest.mark.parametrize("learner", sorted(INVARIANT_SPECS))
+    @pytest.mark.parametrize("c", [1e3, -7.5])
+    def test_shifting_outcomes_leaves_cate(self, invariant_data, learner, c):
+        base = fitted_cate(invariant_data, learner)
+        shifted = fitted_cate(invariant_data, learner, invariant_data.outcome + c)
+        y_max = np.max(np.abs(invariant_data.outcome))
+        assert np.max(np.abs(shifted - base)) <= 64 * EPS * (abs(c) + y_max)
+
+    @pytest.mark.parametrize("learner", sorted(INVARIANT_SPECS))
+    def test_permuting_rows_leaves_cate(self, invariant_data, learner):
+        # Holds to rounding, not bit for bit: tied feature values and the sums
+        # over them are visited in another order.
+        data = invariant_data
+        perm = np.random.default_rng(0).permutation(data.n_units)
+        permuted = CausalDataset(data.features[perm], data.treatment[perm], data.outcome[perm])
+        spec = INVARIANT_SPECS[learner](boost_config=BoostConfig(n_rounds=20))
+        got = predict_cate(fit_meta(permuted, spec), data.features)
+        base = fitted_cate(data, learner)
+        assert np.max(np.abs(got - base)) <= 64 * EPS * np.max(np.abs(base))
 
 
 class TestBundleIO:
