@@ -13,6 +13,7 @@ from .datasets import (
     load_dataset_csv,
     load_table_csv,
     save_dataset_csv,
+    save_table_csv,
     winsorize_outcomes,
 )
 from .losses import LossSpec, gamma_loss, gradient_and_weight, mad_scale, welsch_weight

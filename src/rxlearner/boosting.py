@@ -42,7 +42,6 @@ class BoostConfig:
     max_depth: int = 3
     min_child_weight: float = 1.0
     min_samples_leaf: int = 5
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_rounds < 0:
@@ -380,8 +379,11 @@ def load_model(path) -> BoostedEnsemble:
         )
     try:
         loss_doc = {**doc["loss_spec"]}
-        # Older v1 files carry refresh_every, which only 0 (a fixed anchor) can mean now.
+        # Older v1 files carry refresh_every, which only 0 (a fixed anchor) can mean now,
+        # and a config seed that no fit ever read.
         refresh_every = loss_doc.pop("refresh_every", 0)
+        config_doc = {**doc["config"]}
+        config_doc.pop("seed", None)
     except (KeyError, TypeError) as exc:
         raise BoostingError(f"{path}: malformed model file: {exc}") from None
     if refresh_every != 0:
@@ -406,7 +408,7 @@ def load_model(path) -> BoostedEnsemble:
             step_sizes=[float(v) for v in doc["step_sizes"]],
             loss_spec=LossSpec(**loss_doc),
             loss_trace=np.asarray(doc["loss_trace"], dtype=float),
-            config=BoostConfig(**doc["config"]),
+            config=BoostConfig(**config_doc),
             n_features=int(doc["n_features"]),
         )
     except (KeyError, TypeError, ValueError) as exc:

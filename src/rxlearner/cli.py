@@ -27,6 +27,7 @@ from .datasets import (
     load_dataset_csv,
     load_table_csv,
     save_dataset_csv,
+    save_table_csv,
 )
 from .evaluation import (
     REPORT_COLUMNS,
@@ -133,11 +134,7 @@ def cmd_predict(args) -> int:
     model = load_meta(args.model)
     X, _ = load_table_csv(args.dataset)
     tau = predict_cate(model, X)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau_hat"])
-        for v in tau:
-            writer.writerow([repr(float(v))])
+    save_table_csv(args.out, ["tau_hat"], [tau])
     print(f"wrote {args.out} ({tau.size} predictions)")
     return 0
 

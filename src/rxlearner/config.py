@@ -7,7 +7,7 @@ collects every violation before raising.
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional
 
 import yaml
@@ -41,20 +41,14 @@ class ConfigError(ValueError):
     """Raised with every collected validation violation, newline separated."""
 
 
-_CONTAMINATION_KEYS = {
-    "rate", "core_sd", "tail_kind", "tail_index", "tail_scale", "tail_df", "tail_arm",
-}
-_SCENARIO_KEYS = {
-    "n", "treated_fraction", "contamination", "mu0_form", "tau_form", "tau_value",
-    "n_features", "seed",
-}
-_SEMI_KEYS = {
-    "treated_fraction", "tail_index", "tail_scale", "contaminated_treated_fraction",
-    "target_mean_tau", "tau_coefficients", "core_sd", "seed",
-}
-_BOOST_KEYS = {
-    "n_rounds", "learning_rate", "max_depth", "min_child_weight", "min_samples_leaf", "seed",
-}
+def _field_names(cls) -> set:
+    return {f.name for f in fields(cls)}
+
+
+_CONTAMINATION_KEYS = _field_names(ContaminationSpec)
+_SCENARIO_KEYS = _field_names(ScenarioSpec)
+_SEMI_KEYS = _field_names(SemiSyntheticSpec)
+_BOOST_KEYS = _field_names(BoostConfig)
 _LEARNER_KEYS = {
     "name", "kind", "gamma", "delta_multiplier", "aggregation", "g", "boost",
     "propensity", "propensity_value",
@@ -148,7 +142,6 @@ def _build_learner(doc: dict, index: int, errors: list):
         if "propensity_value" in doc and doc["propensity_value"] is not None:
             updates["propensity_value"] = float(doc["propensity_value"])
         if updates:
-            from dataclasses import replace
             spec = replace(spec, **updates)
     except Exception as exc:
         errors.append(f"{where}: {exc}")

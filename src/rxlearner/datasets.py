@@ -401,26 +401,33 @@ NAMED_COLUMNS = ("w", "y", "tau_true", "is_outlier")
 CSV_WRITE_ROWS = 1024
 
 
-def save_dataset_csv(data: CausalDataset, path) -> None:
-    """Write the dataset as CSV, each value as its Python ``repr``.
+def save_table_csv(path, header, columns) -> None:
+    """Write equal-length 1-D numeric arrays as a CSV table under ``header``.
 
-    Floats round-trip exactly; w and is_outlier are written as 0/1.
+    The inverse of :func:`load_table_csv`: each value is its Python ``repr``,
+    so floats round-trip exactly and integer arrays are written as integers.
     """
-    header = [f"f{j}" for j in range(data.n_features)] + ["w", "y"]
-    named = [data.treatment, data.outcome]
-    if data.true_cate is not None:
-        header.append("tau_true")
-        named.append(data.true_cate)
-    if data.outlier_mask is not None:
-        header.append("is_outlier")
-        named.append(data.outlier_mask)
+    n = len(columns[0])
+    if len(header) != len(columns) or any(np.shape(c) != (n,) for c in columns):
+        raise DatasetError(f"{path}: {len(header)} column names for columns of shapes "
+                           f"{[np.shape(c) for c in columns]}")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         # The csv module's line ending; no value needs quoting.
         fh.write(",".join(header) + "\r\n")
-        for start in range(0, data.n_units, CSV_WRITE_ROWS):
-            rows = slice(start, start + CSV_WRITE_ROWS)
-            columns = data.features[rows].T.tolist() + [c[rows].tolist() for c in named]
-            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in zip(*columns))
+        for start in range(0, n, CSV_WRITE_ROWS):
+            block = [c[start:start + CSV_WRITE_ROWS].tolist() for c in columns]
+            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in zip(*block))
+
+
+def save_dataset_csv(data: CausalDataset, path) -> None:
+    """Write the dataset with :func:`save_table_csv`; w and is_outlier as 0/1."""
+    header = [f"f{j}" for j in range(data.n_features)] + ["w", "y"]
+    columns = list(data.features.T) + [data.treatment, data.outcome]
+    for name, column in (("tau_true", data.true_cate), ("is_outlier", data.outlier_mask)):
+        if column is not None:
+            header.append(name)
+            columns.append(column)
+    save_table_csv(path, header, columns)
 
 
 def load_table_csv(path):

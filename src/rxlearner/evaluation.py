@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
@@ -17,6 +15,7 @@ from .datasets import (
     apply_semi_synthetic_dgp,
     generate_synthetic,
     inject_outlier,
+    save_table_csv,
 )
 from .boosting import BoostedEnsemble
 from .metalearners import MetaLearnerSpec, fit_meta, predict_cate
@@ -259,17 +258,8 @@ def emit_curve_data(
     pred_mse = model_mse.predict(data.features)
     pred_rob = model_robust.predict(data.features)
     mask = data.outlier_mask if data.outlier_mask is not None else np.zeros(data.n_units, np.int8)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "mu_mse", "mu_robust", "y", "is_outlier"])
-        for i in range(data.n_units):
-            writer.writerow([
-                repr(float(data.features[i, 0])),
-                repr(float(pred_mse[i])),
-                repr(float(pred_rob[i])),
-                repr(float(data.outcome[i])),
-                int(mask[i]),
-            ])
+    save_table_csv(path, ["x", "mu_mse", "mu_robust", "y", "is_outlier"],
+                   [data.features[:, 0], pred_mse, pred_rob, data.outcome, mask])
 
 
 # --- report emission ---------------------------------------------------------
@@ -277,25 +267,20 @@ def emit_curve_data(
 REPORT_COLUMNS = ["scenario", "rate", "seed", "learner", "metric", "value"]
 
 
-def report_rows(report: EvalReport, scenario: str = "", rate: float = float("nan")) -> list:
-    """Long-format rows under REPORT_COLUMNS: one per metric value or error."""
+def report_rows(report: EvalReport) -> list:
+    """Long-format rows under REPORT_COLUMNS: one per metric value or error.
+
+    The scenario and rate columns are left empty ("" and nan)."""
     rows = []
     for row in report.per_trial:
+        lead = ["", float("nan"), row.seed, row.learner]
         for metric in ("pehe", "core_pehe", "ate_bias"):
             value = getattr(row, metric)
             if value is not None:
-                rows.append([scenario, rate, row.seed, row.learner, metric, repr(value)])
+                rows.append(lead + [metric, repr(value)])
         if row.error is not None:
-            rows.append([scenario, rate, row.seed, row.learner, "error", row.error])
+            rows.append(lead + ["error", row.error])
     return rows
-
-
-def write_report_csv(report: EvalReport, path, scenario: str = "", rate: float = float("nan")) -> None:
-    """Long-format CSV: REPORT_COLUMNS, then :func:`report_rows`."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        writer.writerows(report_rows(report, scenario, rate))
 
 
 def report_summary(report: EvalReport) -> dict:
@@ -304,8 +289,3 @@ def report_summary(report: EvalReport) -> dict:
         "degenerate_sd": report.degenerate_sd,
         "n_trial_rows": len(report.per_trial),
     }
-
-
-def write_report_json(report: EvalReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_summary(report), fh, indent=2)

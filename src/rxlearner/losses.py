@@ -51,10 +51,6 @@ class LossSpec:
     def huber_delta(self) -> float:
         return self.delta_multiplier * self.scale
 
-    @property
-    def is_robust(self) -> bool:
-        return self.kind != SQUARED
-
 
 def mad_scale(residuals, floor: float = SCALE_FLOOR) -> float:
     """1.4826 * median absolute deviation, floored to guard against implosion."""
@@ -82,8 +78,7 @@ def gamma_loss(residuals, spec: LossSpec) -> float:
     """
     if spec.kind != GAMMA_WELSCH:
         raise ValueError("gamma_loss requires a gamma_welsch spec")
-    r = np.asarray(residuals, dtype=float)
-    return float(-np.sum(np.exp(-spec.gamma * r * r / (2.0 * spec.scale**2))) / spec.gamma)
+    return float(-np.sum(welsch_weight(residuals, spec)) / spec.gamma)
 
 
 def huber_loss(residuals, spec: LossSpec) -> float:
@@ -141,14 +136,12 @@ def quadratic_majorizer(r, r0, spec: LossSpec):
         raise ValueError("quadratic_majorizer requires a gamma_welsch spec")
     r = np.asarray(r, dtype=float)
     r0 = np.asarray(r0, dtype=float)
-    rho0 = -np.exp(-spec.gamma * r0 * r0 / (2.0 * spec.scale**2)) / spec.gamma
-    w0 = np.exp(-spec.gamma * r0 * r0 / (2.0 * spec.scale**2))
-    return rho0 + w0 / (2.0 * spec.scale**2) * (r * r - r0 * r0)
+    w0 = welsch_weight(r0, spec)
+    return -w0 / spec.gamma + w0 / (2.0 * spec.scale**2) * (r * r - r0 * r0)
 
 
 def pointwise_gamma_loss(r, spec: LossSpec):
     """Per-point Welsch loss rho(r) = -(1/gamma) exp(-gamma r^2 / 2 sigma^2)."""
     if spec.kind != GAMMA_WELSCH:
         raise ValueError("pointwise_gamma_loss requires a gamma_welsch spec")
-    r = np.asarray(r, dtype=float)
-    return -np.exp(-spec.gamma * r * r / (2.0 * spec.scale**2)) / spec.gamma
+    return -welsch_weight(r, spec) / spec.gamma

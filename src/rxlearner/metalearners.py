@@ -220,12 +220,9 @@ def fit_meta(data: CausalDataset, spec: MetaLearnerSpec) -> FittedCate:
     if spec.kind == KIND_DR:
         pi = fitted.propensity_at(data.features)
         w = data.treatment.astype(float)
-        mu_w = np.where(w == 1, mu1.predict(data.features), mu0.predict(data.features))
-        phi = (
-            mu1.predict(data.features)
-            - mu0.predict(data.features)
-            + (w - pi) / (pi * (1.0 - pi)) * (data.outcome - mu_w)
-        )
+        m1, m0 = mu1.predict(data.features), mu0.predict(data.features)
+        mu_w = np.where(w == 1, m1, m0)
+        phi = m1 - m0 + (w - pi) / (pi * (1.0 - pi)) * (data.outcome - mu_w)
         fitted.final_model = fit_boosted(data.features, phi, spec.stage3_loss, cfg)
         return fitted
 

@@ -393,6 +393,21 @@ class TestModelIO:
             assert back.loss_spec == model.loss_spec
             np.testing.assert_array_equal(back.predict(X), model.predict(X))
 
+    def test_v1_file_with_config_seed(self, tmp_path):
+        # v1 files written before BoostConfig.seed was removed carry it in their config.
+        X = np.arange(20.0).reshape(10, 2)
+        model = fit_boosted(X, np.arange(10.0), LossSpec(kind=GAMMA_WELSCH), BoostConfig(n_rounds=3))
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        import json
+        doc = json.loads(path.read_text())
+        assert "seed" not in doc["config"]
+        doc["config"]["seed"] = 7
+        path.write_text(json.dumps(doc))
+        back = load_model(path)
+        assert back.config == model.config
+        np.testing.assert_array_equal(back.predict(X), model.predict(X))
+
     def test_malformed_file_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{not json")

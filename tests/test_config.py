@@ -49,6 +49,11 @@ class TestParseConfig:
                          "learners[0]", "learners[1].gamma"):
             assert fragment in text
 
+    def test_boost_seed_is_unknown_key(self):
+        doc = dict(MINIMAL, learners=[{"kind": "rx", "boost": {"seed": 1}}])
+        with pytest.raises(ConfigError, match=r"learners\[0\]\.boost: unknown keys \['seed'\]"):
+            parse_config(doc)
+
     def test_duplicate_learner_names_rejected(self):
         doc = dict(MINIMAL, learners=[{"name": "a", "kind": "rx"},
                                       {"name": "a", "kind": "mse_x"}])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import rxlearner.cli as cli_module
 import rxlearner.datasets as datasets_module
 from rxlearner.datasets import (
     CausalDataset,
@@ -17,7 +18,16 @@ from rxlearner.datasets import (
     load_dataset_csv,
     load_table_csv,
     save_dataset_csv,
+    save_table_csv,
     winsorize_outcomes,
+)
+from rxlearner.evaluation import (
+    REPORT_COLUMNS,
+    EvalReport,
+    TrialRow,
+    emit_curve_data,
+    report_rows,
+    report_summary,
 )
 
 
@@ -302,6 +312,56 @@ class TestCsvRoundTrip:
                         b"2.0,-1.5e-07,1,1e-300\r\n")
         assert path.read_bytes() == expected
 
+    @pytest.mark.parametrize("block_rows", [2, 1024])
+    def test_golden_bytes_predict(self, tmp_path, monkeypatch, block_rows):
+        # `rxlearner predict` writes tau_hat under the dataset rule: repr values, CRLF.
+        monkeypatch.setattr(datasets_module, "CSV_WRITE_ROWS", block_rows)
+        monkeypatch.setattr(cli_module, "load_meta", lambda path: None)
+        monkeypatch.setattr(cli_module, "predict_cate",
+                            lambda model, X: np.array([-0.0, 1e-300, 1e16]))
+        features = tmp_path / "x.csv"
+        features.write_text("f0\n1\n2\n3\n")
+        out = tmp_path / "tau.csv"
+        assert cli_module.main(["predict", "bundle", str(features), str(out)]) == 0
+        assert out.read_bytes() == b"tau_hat\r\n-0.0\r\n1e-300\r\n1e+16\r\n"
+
+    @pytest.mark.parametrize("block_rows", [2, 1024])
+    def test_golden_bytes_curves(self, tmp_path, monkeypatch, block_rows):
+        monkeypatch.setattr(datasets_module, "CSV_WRITE_ROWS", block_rows)
+
+        class Fixed:
+            def __init__(self, values):
+                self.values = np.array(values)
+
+            def predict(self, X):
+                return self.values
+
+        data = CausalDataset(np.array([[-0.0], [1e-300], [1e16]]), np.array([1, 0, 1]),
+                             np.array([2.5, -3.0, 1e-300]), true_cate=np.zeros(3),
+                             outlier_mask=np.array([0, 1, 0]))
+        path = tmp_path / "curves.csv"
+        emit_curve_data(data, Fixed([0.1, -0.0, 1e16]), Fixed([1e-300, 2.0, -1.5e-7]), path)
+        assert path.read_bytes() == (b"x,mu_mse,mu_robust,y,is_outlier\r\n"
+                                     b"-0.0,0.1,1e-300,2.5,0\r\n"
+                                     b"1e-300,-0.0,2.0,-3.0,1\r\n"
+                                     b"1e+16,1e+16,-1.5e-07,1e-300,0\r\n")
+
+    def test_golden_bytes_report(self, tmp_path):
+        # Reports go through csv.writer, which quotes an error cell holding a comma or a quote.
+        report = EvalReport.from_trials([
+            TrialRow(seed=0, learner="rx", pehe=-0.0, core_pehe=1e-300, ate_bias=1e16),
+            TrialRow(seed=1, learner="rx", error='ValueError: bad "x", y'),
+        ])
+        cli_module._write_outputs("csv", tmp_path, "report", REPORT_COLUMNS,
+                                  report_rows(report), report_summary(report))
+        assert (tmp_path / "report.csv").read_bytes() == (
+            b"scenario,rate,seed,learner,metric,value\r\n"
+            b",nan,0,rx,pehe,-0.0\r\n"
+            b",nan,0,rx,core_pehe,1e-300\r\n"
+            b",nan,0,rx,ate_bias,1e+16\r\n"
+            b',nan,1,rx,error,"ValueError: bad ""x"", y"\r\n')
+        assert not (tmp_path / "report.json").exists()
+
     def test_missing_y_column_named_in_error(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,w\n1.0,0\n")
@@ -342,6 +402,23 @@ class TestTableReader:
         assert X.tobytes() == data.features.tobytes()
         assert named["y"].tobytes() == data.outcome.tobytes()
         assert sorted(named) == ["is_outlier", "tau_true", "w", "y"]
+
+    def test_written_table_reads_back_bit_exact(self, tmp_path):
+        a, b = np.array([-0.0, 1e-300, 1e16]), np.array([0.1, 2.0, -1.5e-7])
+        path = tmp_path / "t.csv"
+        save_table_csv(path, ["a", "b", "y"], [a, b, np.array([1, 0, 1])])
+        X, named = load_table_csv(path)
+        assert X.tobytes() == np.column_stack([a, b]).tobytes()
+        np.testing.assert_array_equal(named["y"], [1.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("columns", [
+        [np.zeros(3), np.zeros(2)],
+        [np.zeros(3)],
+        [np.zeros((3, 1)), np.zeros(3)],
+    ])
+    def test_writer_rejects_mismatched_columns(self, tmp_path, columns):
+        with pytest.raises(DatasetError, match="column names for columns of shapes"):
+            save_table_csv(tmp_path / "t.csv", ["a", "b"], columns)
 
     def test_any_feature_names_without_named_columns(self, tmp_path):
         path = tmp_path / "cov.csv"

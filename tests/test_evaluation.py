@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rxlearner.boosting import BoostConfig, fit_boosted
+from rxlearner.cli import _write_outputs
 from rxlearner.datasets import (
     ContaminationSpec,
     ScenarioSpec,
@@ -11,6 +12,7 @@ from rxlearner.datasets import (
     load_dataset_csv,
 )
 from rxlearner.evaluation import (
+    REPORT_COLUMNS,
     EvalReport,
     EvaluationError,
     TrialRow,
@@ -19,12 +21,12 @@ from rxlearner.evaluation import (
     core_pehe,
     emit_curve_data,
     pehe,
+    report_rows,
+    report_summary,
     run_scenario,
     run_semi_synthetic,
     smearing_study,
     stratified_split,
-    write_report_csv,
-    write_report_json,
 )
 from rxlearner.losses import GAMMA_WELSCH, SQUARED, LossSpec
 from rxlearner.metalearners import mse_x_spec, rx_spec
@@ -224,8 +226,8 @@ class TestReportFiles:
         ])
         csv_path = tmp_path / "r.csv"
         json_path = tmp_path / "r.json"
-        write_report_csv(report, csv_path, scenario="s", rate=0.1)
-        write_report_json(report, json_path)
+        _write_outputs(None, tmp_path, "r", REPORT_COLUMNS, report_rows(report),
+                       report_summary(report))
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "scenario,rate,seed,learner,metric,value"
         assert len(lines) == 5  # header + 3 metrics + 1 error row
