@@ -1,8 +1,8 @@
 """Command-line front end: dataset generation, fitting, and experiment runners.
 
 Exit codes: 0 success, 1 validation error, 2 runtime error. Every command is
-deterministic given its config and inputs; ``--seed`` overrides the config
-seed everywhere.
+deterministic given its config and inputs; each accepts only the flags it reads,
+and ``--seed`` overrides the config's top-level draw seed.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -55,16 +54,10 @@ def _resolve_config(args) -> RunConfig:
         path = preset_path(path)
     cfg = load_config(path)
     if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-        if cfg.scenario is not None:
-            cfg.scenario = replace(cfg.scenario, seed=args.seed)
-        if cfg.semi_synthetic is not None:
-            cfg.semi_synthetic = replace(cfg.semi_synthetic, seed=args.seed)
-    if getattr(args, "out_dir", None):
-        cfg.out_dir = args.out_dir
-    if cfg.out_dir is None:
-        cfg.out_dir = "."
-    os.makedirs(cfg.out_dir, exist_ok=True)
+        cfg = cfg.with_seed(args.seed)
+    if hasattr(args, "out_dir"):  # only commands that write into it take --out-dir
+        cfg.out_dir = args.out_dir or cfg.out_dir or "."
+        os.makedirs(cfg.out_dir, exist_ok=True)
     return cfg
 
 
@@ -211,6 +204,19 @@ def cmd_curves(args) -> int:
     return 0
 
 
+_FLAGS = {
+    "--config": dict(help="config path or preset name"),
+    "--out-dir": dict(default=None),
+    "--seed": dict(type=int, default=None, help="override the config's draw seed"),
+    "--jobs": dict(type=int, default=1, help="worker-process cap"),
+    "--format": dict(choices=("csv", "json"), default=None,
+                     help="restrict report output to one format"),
+    "--model-out": dict(required=True),
+}
+_DRAW_FLAGS = ("--config", "--out-dir", "--seed")
+_REPORT_FLAGS = _DRAW_FLAGS + ("--jobs", "--format")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rxlearner",
@@ -218,52 +224,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", help="config path or preset name")
-        p.add_argument("--out-dir", default=None)
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--jobs", type=int, default=1, help="worker-process cap")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="restrict report output to one format")
+    def command(name, func, help, *flags):
+        p = sub.add_parser(name, help=help)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("simulate", help="generate and persist a synthetic dataset CSV")
-    common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("semisynthetic", help="apply the displacement DGP to covariates")
-    p.add_argument("covariates", nargs="?", default=None, help="covariate CSV (optional)")
-    common(p)
-    p.set_defaults(func=cmd_semisynthetic)
-
-    p = sub.add_parser("fit", help="fit one meta-learner and persist the bundle")
-    p.add_argument("dataset")
-    p.add_argument("--model-out", required=True)
-    common(p)
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("predict", help="emit per-unit CATE predictions")
-    p.add_argument("model")
-    p.add_argument("dataset")
-    p.add_argument("out")
-    common(p, config=False)
-    p.set_defaults(func=cmd_predict, config=None)
-
-    p = sub.add_parser("evaluate", help="run the scenario trials and emit reports")
-    common(p)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("sweep", help="contamination-rate sweep")
-    common(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("smear", help="single-whale prediction-shift study")
-    common(p)
-    p.set_defaults(func=cmd_smear)
-
-    p = sub.add_parser("curves", help="1-D qualitative curve data export")
-    common(p)
-    p.set_defaults(func=cmd_curves)
+    command("simulate", cmd_simulate, "generate and persist a synthetic dataset CSV", *_DRAW_FLAGS)
+    command("semisynthetic", cmd_semisynthetic, "apply the displacement DGP to covariates",
+            *_DRAW_FLAGS).add_argument("covariates", nargs="?", default=None,
+                                       help="covariate CSV (optional)")
+    command("fit", cmd_fit, "fit one meta-learner and persist the bundle",
+            "--config", "--model-out").add_argument("dataset")
+    p = command("predict", cmd_predict, "emit per-unit CATE predictions")
+    for positional in ("model", "dataset", "out"):
+        p.add_argument(positional)
+    command("evaluate", cmd_evaluate, "run the scenario trials and emit reports", *_REPORT_FLAGS)
+    command("sweep", cmd_sweep, "contamination-rate sweep", *_REPORT_FLAGS)
+    command("smear", cmd_smear, "single-whale prediction-shift study", *_DRAW_FLAGS, "--format")
+    command("curves", cmd_curves, "1-D qualitative curve data export", *_DRAW_FLAGS)
     return parser
 
 

@@ -7,19 +7,15 @@ collects every violation before raising.
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Dict, List, Optional
 
 import yaml
 
 from .boosting import BoostConfig
-from .datasets import (
-    ContaminationSpec,
-    ScenarioSpec,
-    SemiSyntheticSpec,
-)
-from .losses import LossSpec
+from .datasets import ScenarioSpec, SemiSyntheticSpec
 from .metalearners import (
+    AGG_FIXED,
     AggregationScheme,
     MetaLearnerSpec,
     dr_clipped_spec,
@@ -41,14 +37,6 @@ class ConfigError(ValueError):
     """Raised with every collected validation violation, newline separated."""
 
 
-def _field_names(cls) -> set:
-    return {f.name for f in fields(cls)}
-
-
-_CONTAMINATION_KEYS = _field_names(ContaminationSpec)
-_SCENARIO_KEYS = _field_names(ScenarioSpec)
-_SEMI_KEYS = _field_names(SemiSyntheticSpec)
-_BOOST_KEYS = _field_names(BoostConfig)
 _LEARNER_KEYS = {
     "name", "kind", "gamma", "delta_multiplier", "aggregation", "g", "boost",
     "propensity", "propensity_value",
@@ -72,7 +60,7 @@ _LEARNER_FACTORIES = {
 
 @dataclass
 class RunConfig:
-    """Validated run document ready to execute."""
+    """Validated run document ready to execute; ``seed`` is its one draw seed."""
 
     kind: str
     seed: int
@@ -88,6 +76,14 @@ class RunConfig:
     curve_n: int = 200
     curve_outliers: int = 5
 
+    def with_seed(self, seed: int) -> "RunConfig":
+        """The same run drawn at ``seed`` instead."""
+        if not _is_int(seed) or seed < 0:
+            raise ConfigError(f"seed: must be an integer >= 0, got {seed!r}")
+        blocks = {name: replace(block, seed=seed) for name in ("scenario", "semi_synthetic")
+                  if (block := getattr(self, name)) is not None}
+        return replace(self, seed=seed, **blocks)
+
 
 def _check_keys(doc: dict, allowed: set, where: str, errors: list):
     if not isinstance(doc, dict):
@@ -99,14 +95,40 @@ def _check_keys(doc: dict, allowed: set, where: str, errors: list):
     return True
 
 
-def _build_boost(doc: dict, where: str, errors: list) -> BoostConfig:
-    if not _check_keys(doc, _BOOST_KEYS, where, errors):
-        return BoostConfig()
+def _build_spec(cls, doc, where: str, errors: list, **fixed):
+    """Build the dataclass ``cls`` from the mapping ``doc``, whose keys are the
+    fields of ``cls`` not given in ``fixed``. A field whose default is a nested
+    spec is built the same way. Violations go to ``errors``; returns None if
+    ``cls`` cannot be built."""
+    if not _check_keys(doc, {f.name for f in fields(cls)} - set(fixed), where, errors):
+        return None
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in doc:
+            value = doc[f.name]
+            if is_dataclass(f.default_factory):
+                value = _build_spec(f.default_factory, value, f"{where}.{f.name}", errors)
+                if value is None:
+                    continue
+            kwargs[f.name] = value
     try:
-        return BoostConfig(**{k: v for k, v in doc.items() if k in _BOOST_KEYS})
-    except Exception as exc:
+        return cls(**{**kwargs, **fixed})
+    except (TypeError, ValueError) as exc:
         errors.append(f"{where}: {exc}")
-        return BoostConfig()
+        return None
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_value(doc: dict, key: str, default: int, errors: list, minimum=None) -> int:
+    value = doc.get(key, default)
+    if not _is_int(value) or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        errors.append(f"{key}: must be an integer{bound}, got {value!r}")
+        return default
+    return value
 
 
 def _build_learner(doc: dict, index: int, errors: list):
@@ -117,22 +139,24 @@ def _build_learner(doc: dict, index: int, errors: list):
     if kind not in _LEARNER_FACTORIES:
         errors.append(f"{where}.kind: unknown learner kind {kind!r}")
         return None
-    boost = _build_boost(doc.get("boost", {}), f"{where}.boost", errors)
+    for key, read, why in (
+        ("gamma", kind == "rx", "only meaningful for the rx learner"),
+        ("delta_multiplier", kind == "huber_x", "only meaningful for the huber_x learner"),
+        ("aggregation", kind not in ("t", "dr_clipped"), f"not read by the {kind} learner"),
+        ("g", doc.get("aggregation") == AGG_FIXED, "only meaningful with aggregation: fixed"),
+    ):
+        if key in doc and not read:
+            errors.append(f"{where}.{key}: {why}")
+    boost = (_build_spec(BoostConfig, doc.get("boost", {}), f"{where}.boost", errors)
+             or BoostConfig())
     try:
         if kind == "rx":
             spec = rx_spec(gamma=float(doc.get("gamma", 0.2)), boost_config=boost)
         else:
             spec = _LEARNER_FACTORIES[kind](boost_config=boost)
         updates = {}
-        if kind != "rx" and "gamma" in doc:
-            errors.append(f"{where}.gamma: only meaningful for the rx learner")
         if "delta_multiplier" in doc:
-            updates["base_loss"] = LossSpec(
-                kind=spec.base_loss.kind,
-                gamma=spec.base_loss.gamma,
-                delta_multiplier=float(doc["delta_multiplier"]),
-            )
-            updates["stage3_loss"] = updates["base_loss"]
+            updates["loss"] = replace(spec.loss, delta_multiplier=float(doc["delta_multiplier"]))
         if "aggregation" in doc:
             updates["aggregation"] = AggregationScheme(
                 kind=doc["aggregation"], g=float(doc.get("g", 0.5))
@@ -143,7 +167,7 @@ def _build_learner(doc: dict, index: int, errors: list):
             updates["propensity_value"] = float(doc["propensity_value"])
         if updates:
             spec = replace(spec, **updates)
-    except Exception as exc:
+    except (TypeError, ValueError) as exc:
         errors.append(f"{where}: {exc}")
         return None
     name = doc.get("name", kind)
@@ -162,32 +186,14 @@ def parse_config(doc: dict) -> RunConfig:
     kind = doc.get("kind", KIND_SCENARIO)
     if kind not in RUN_KINDS:
         errors.append(f"kind: expected one of {RUN_KINDS}, got {kind!r}")
+    seed = _int_value(doc, "seed", 0, errors, minimum=0)
 
-    scenario = None
+    scenario = semi = None
     if "scenario" in doc:
-        sdoc = dict(doc["scenario"]) if isinstance(doc["scenario"], dict) else {}
-        if _check_keys(doc["scenario"], _SCENARIO_KEYS, "scenario", errors):
-            cont = ContaminationSpec()
-            if "contamination" in sdoc:
-                if _check_keys(sdoc["contamination"], _CONTAMINATION_KEYS,
-                               "scenario.contamination", errors):
-                    try:
-                        cont = ContaminationSpec(**sdoc["contamination"])
-                    except Exception as exc:
-                        errors.append(f"scenario.contamination: {exc}")
-                sdoc.pop("contamination")
-            try:
-                scenario = ScenarioSpec(contamination=cont, **sdoc)
-            except Exception as exc:
-                errors.append(f"scenario: {exc}")
-
-    semi = None
+        scenario = _build_spec(ScenarioSpec, doc["scenario"], "scenario", errors, seed=seed)
     if "semi_synthetic" in doc:
-        if _check_keys(doc["semi_synthetic"], _SEMI_KEYS, "semi_synthetic", errors):
-            try:
-                semi = SemiSyntheticSpec(**doc["semi_synthetic"])
-            except Exception as exc:
-                errors.append(f"semi_synthetic: {exc}")
+        semi = _build_spec(SemiSyntheticSpec, doc["semi_synthetic"], "semi_synthetic", errors,
+                           seed=seed)
 
     surrogate = None
     if doc.get("surrogate") is not None:
@@ -206,9 +212,9 @@ def parse_config(doc: dict) -> RunConfig:
                 errors.append(f"learners[{i}].name: duplicate learner name {name!r}")
             learners[name] = spec
 
-    n_trials = doc.get("n_trials", 1)
-    if not isinstance(n_trials, int) or n_trials < 1:
-        errors.append(f"n_trials: must be a positive integer, got {n_trials!r}")
+    n_trials = _int_value(doc, "n_trials", 1, errors, minimum=1)
+    curve_n = _int_value(doc, "curve_n", 200, errors)
+    curve_outliers = _int_value(doc, "curve_outliers", 5, errors)
 
     rates = [float(r) for r in doc.get("rates", []) or []]
     for r in rates:
@@ -220,7 +226,7 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError("\n".join(errors))
     return RunConfig(
         kind=kind,
-        seed=int(doc.get("seed", 0)),
+        seed=seed,
         n_trials=n_trials,
         out_dir=doc.get("out_dir"),
         scenario=scenario,
@@ -230,8 +236,8 @@ def parse_config(doc: dict) -> RunConfig:
         learners=learners,
         rates=rates,
         magnitudes=magnitudes,
-        curve_n=int(doc.get("curve_n", 200)),
-        curve_outliers=int(doc.get("curve_outliers", 5)),
+        curve_n=curve_n,
+        curve_outliers=curve_outliers,
     )
 
 

@@ -41,6 +41,8 @@ PROPENSITY_CLIP = 0.01
 VARIANCE_FLOOR = 1e-16
 
 MANIFEST_VERSION = 1
+# bundle parts beside mu0/mu1 (and propensity_model when fitted); every X kind has tau0/tau1
+_STAGE3_PARTS = {KIND_T: (), KIND_DR: ("final_model",)}
 
 
 class MetaLearnerError(ValueError):
@@ -62,8 +64,7 @@ class AggregationScheme:
 @dataclass(frozen=True)
 class MetaLearnerSpec:
     kind: str = KIND_RX
-    base_loss: LossSpec = field(default_factory=LossSpec)
-    stage3_loss: LossSpec = field(default_factory=LossSpec)
+    loss: LossSpec = field(default_factory=LossSpec)  # stage 1, stage 3 and dr's final model
     aggregation: AggregationScheme = field(default_factory=AggregationScheme)
     boost_config: BoostConfig = field(default_factory=BoostConfig)
     propensity: str = PROPENSITY_KNOWN
@@ -72,50 +73,43 @@ class MetaLearnerSpec:
     def __post_init__(self):
         if self.kind not in LEARNER_KINDS:
             raise MetaLearnerError(f"unknown learner kind {self.kind!r}")
-        if self.kind == KIND_RX and (
-            self.base_loss.kind != GAMMA_WELSCH or self.stage3_loss.kind != GAMMA_WELSCH
-        ):
-            raise MetaLearnerError("rx learner requires gamma_welsch base and stage-3 losses")
+        if self.kind == KIND_RX and self.loss.kind != GAMMA_WELSCH:
+            raise MetaLearnerError("rx learner requires the gamma_welsch loss")
         if self.propensity not in (PROPENSITY_KNOWN, PROPENSITY_FITTED):
             raise MetaLearnerError(f"unknown propensity mode {self.propensity!r}")
 
 
 def rx_spec(gamma: float = 0.2, boost_config: BoostConfig = BoostConfig()) -> MetaLearnerSpec:
-    loss = LossSpec(kind=GAMMA_WELSCH, gamma=gamma)
     return MetaLearnerSpec(
-        kind=KIND_RX, base_loss=loss, stage3_loss=loss,
+        kind=KIND_RX, loss=LossSpec(kind=GAMMA_WELSCH, gamma=gamma),
         aggregation=AggregationScheme(AGG_INVERSE_VARIANCE), boost_config=boost_config,
     )
 
 
 def mse_x_spec(boost_config: BoostConfig = BoostConfig()) -> MetaLearnerSpec:
-    loss = LossSpec(kind=SQUARED)
     return MetaLearnerSpec(
-        kind=KIND_X, base_loss=loss, stage3_loss=loss,
+        kind=KIND_X, loss=LossSpec(kind=SQUARED),
         aggregation=AggregationScheme(AGG_PROPENSITY), boost_config=boost_config,
     )
 
 
 def huber_x_spec(boost_config: BoostConfig = BoostConfig()) -> MetaLearnerSpec:
-    loss = LossSpec(kind=HUBER)
     return MetaLearnerSpec(
-        kind=KIND_X, base_loss=loss, stage3_loss=loss,
+        kind=KIND_X, loss=LossSpec(kind=HUBER),
         aggregation=AggregationScheme(AGG_PROPENSITY), boost_config=boost_config,
     )
 
 
 def winsorized_x_spec(boost_config: BoostConfig = BoostConfig()) -> MetaLearnerSpec:
-    loss = LossSpec(kind=SQUARED)
     return MetaLearnerSpec(
-        kind=KIND_WINSORIZED_X, base_loss=loss, stage3_loss=loss,
+        kind=KIND_WINSORIZED_X, loss=LossSpec(kind=SQUARED),
         aggregation=AggregationScheme(AGG_PROPENSITY), boost_config=boost_config,
     )
 
 
 def dr_clipped_spec(boost_config: BoostConfig = BoostConfig()) -> MetaLearnerSpec:
-    loss = LossSpec(kind=SQUARED)
     return MetaLearnerSpec(
-        kind=KIND_DR, base_loss=loss, stage3_loss=loss,
+        kind=KIND_DR, loss=LossSpec(kind=SQUARED),
         aggregation=AggregationScheme(AGG_FIXED, g=1.0), boost_config=boost_config,
     )
 
@@ -123,7 +117,7 @@ def dr_clipped_spec(boost_config: BoostConfig = BoostConfig()) -> MetaLearnerSpe
 def t_spec(boost_config: BoostConfig = BoostConfig(),
            loss: LossSpec = LossSpec(kind=SQUARED)) -> MetaLearnerSpec:
     return MetaLearnerSpec(
-        kind=KIND_T, base_loss=loss, stage3_loss=loss,
+        kind=KIND_T, loss=loss,
         aggregation=AggregationScheme(AGG_FIXED, g=0.5), boost_config=boost_config,
     )
 
@@ -146,8 +140,10 @@ class FittedCate:
     def propensity_at(self, X) -> np.ndarray:
         if self.propensity_model is not None:
             return predict_proba(self.propensity_model, X, clip=PROPENSITY_CLIP)
-        p = self.propensity_constant if self.propensity_constant is not None else 0.5
-        return np.full(np.asarray(X).shape[0], float(np.clip(p, PROPENSITY_CLIP, 1 - PROPENSITY_CLIP)))
+        if self.propensity_constant is None:
+            raise MetaLearnerError("model has neither a propensity model nor a propensity constant")
+        p = float(np.clip(self.propensity_constant, PROPENSITY_CLIP, 1 - PROPENSITY_CLIP))
+        return np.full(np.asarray(X).shape[0], p)
 
 
 def impute_pseudo_outcomes(mu0: BoostedEnsemble, mu1: BoostedEnsemble, data: CausalDataset):
@@ -204,8 +200,8 @@ def fit_meta(data: CausalDataset, spec: MetaLearnerSpec) -> FittedCate:
 
     treated, control = data.treated_idx, data.control_idx
     Xt, Xc = data.features[treated], data.features[control]
-    mu0 = fit_boosted(Xc, data.outcome[control], spec.base_loss, cfg)
-    mu1 = fit_boosted(Xt, data.outcome[treated], spec.base_loss, cfg)
+    mu0 = fit_boosted(Xc, data.outcome[control], spec.loss, cfg)
+    mu1 = fit_boosted(Xt, data.outcome[treated], spec.loss, cfg)
 
     p_const, p_model = fit_propensity(data, spec)
     fitted = FittedCate(
@@ -223,12 +219,12 @@ def fit_meta(data: CausalDataset, spec: MetaLearnerSpec) -> FittedCate:
         m1, m0 = mu1.predict(data.features), mu0.predict(data.features)
         mu_w = np.where(w == 1, m1, m0)
         phi = m1 - m0 + (w - pi) / (pi * (1.0 - pi)) * (data.outcome - mu_w)
-        fitted.final_model = fit_boosted(data.features, phi, spec.stage3_loss, cfg)
+        fitted.final_model = fit_boosted(data.features, phi, spec.loss, cfg)
         return fitted
 
     d1, d0 = impute_pseudo_outcomes(mu0, mu1, data)
-    fitted.tau1 = fit_boosted(Xt, d1, spec.stage3_loss, cfg)
-    fitted.tau0 = fit_boosted(Xc, d0, spec.stage3_loss, cfg)
+    fitted.tau1 = fit_boosted(Xt, d1, spec.loss, cfg)
+    fitted.tau0 = fit_boosted(Xc, d0, spec.loss, cfg)
     fitted.arm_variance = (
         estimate_arm_variance(fitted.tau0, Xc, d0),
         estimate_arm_variance(fitted.tau1, Xt, d1),
@@ -289,23 +285,27 @@ def load_meta(bundle_dir) -> FittedCate:
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise MetaLearnerError(f"{manifest_path}: cannot read manifest: {exc}") from None
-    if manifest.get("manifest_version") != MANIFEST_VERSION:
-        raise MetaLearnerError(
-            f"{manifest_path}: unsupported manifest version {manifest.get('manifest_version')!r}"
-        )
-    loaded = {
-        name: load_model(os.path.join(bundle_dir, f"{name}.json"))
-        for name in manifest["parts"]
-    }
-    return FittedCate(
-        kind=manifest["kind"],
-        mu0=loaded["mu0"],
-        mu1=loaded["mu1"],
-        tau0=loaded.get("tau0"),
-        tau1=loaded.get("tau1"),
-        final_model=loaded.get("final_model"),
-        propensity_model=loaded.get("propensity_model"),
-        arm_variance=tuple(manifest["arm_variance"]),
-        propensity_constant=manifest["propensity_constant"],
-        aggregation=AggregationScheme(**manifest["aggregation"]),
-    )
+    try:
+        if manifest["manifest_version"] != MANIFEST_VERSION:
+            raise ValueError(f"unsupported manifest version {manifest['manifest_version']!r}")
+        kind, parts = manifest["kind"], manifest["parts"]
+        if kind not in LEARNER_KINDS:
+            raise ValueError(f"unknown learner kind {kind!r}")
+        p_const = manifest["propensity_constant"]
+        needed = {"mu0", "mu1", *_STAGE3_PARTS.get(kind, ("tau0", "tau1"))}
+        if p_const is None:
+            needed.add("propensity_model")
+        else:
+            p_const = float(p_const)
+        if not isinstance(parts, list) or sorted(map(str, parts)) != sorted(needed):
+            raise ValueError(f"parts {parts!r} do not match a {kind} bundle with "
+                             f"propensity_constant {p_const!r}: expected {sorted(needed)}")
+        v0, v1 = (float(v) for v in manifest["arm_variance"])
+        aggregation = AggregationScheme(**manifest["aggregation"])
+    except KeyError as exc:
+        raise MetaLearnerError(f"{manifest_path}: malformed manifest: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise MetaLearnerError(f"{manifest_path}: malformed manifest: {exc}") from None
+    loaded = {name: load_model(os.path.join(bundle_dir, f"{name}.json")) for name in sorted(needed)}
+    return FittedCate(kind=kind, arm_variance=(v0, v1), propensity_constant=p_const,
+                      aggregation=aggregation, **loaded)

@@ -1,18 +1,19 @@
 import filecmp
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from rxlearner.cli import main
-from rxlearner.datasets import load_dataset_csv
-from rxlearner.metalearners import fit_meta, load_meta, predict_cate, rx_spec
+from rxlearner.cli import build_parser, main
+from rxlearner.datasets import ScenarioSpec, generate_synthetic, load_dataset_csv, save_dataset_csv
+from rxlearner.metalearners import fit_meta, load_meta, mse_x_spec, predict_cate, rx_spec, save_meta
 from rxlearner.boosting import BoostConfig
 
 TINY = """
 version: 1
 kind: scenario
-seed: 3
+seed: 0
 n_trials: 1
 rates: [0.0, 0.1]
 magnitudes: [0, 50]
@@ -34,6 +35,35 @@ def tiny_config(tmp_path):
     return str(path)
 
 
+DRAW = {"--config", "--out-dir", "--seed"}
+REPORT = DRAW | {"--jobs", "--format"}
+OPTIONS = {
+    "simulate": DRAW, "semisynthetic": DRAW, "curves": DRAW,
+    "fit": {"--config", "--model-out"},
+    "predict": set(),
+    "evaluate": REPORT, "sweep": REPORT,
+    "smear": DRAW | {"--format"},
+}
+
+
+class TestParser:
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        parser = build_parser()
+        (commands,) = [a for a in parser._actions if a.dest == "command"]
+        got = {
+            name: {opt for a in sub._actions for opt in a.option_strings} - {"-h", "--help"}
+            for name, sub in commands.choices.items()
+        }
+        assert got == OPTIONS
+        assert sum(map(len, got.values())) == 25
+
+    def test_predict_rejects_jobs(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "m", "d.csv", "o.csv", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+
 class TestSimulate:
     def test_writes_loadable_dataset(self, tiny_config, tmp_path):
         out = tmp_path / "sim"
@@ -49,6 +79,20 @@ class TestSimulate:
                          "--out-dir", str(out), "--seed", seed]) == 0
         assert filecmp.cmp(a / "dataset.csv", b / "dataset.csv", shallow=False)
         assert not filecmp.cmp(a / "dataset.csv", c / "dataset.csv", shallow=False)
+
+    def test_config_seed_draws_like_seed_flag(self, tiny_config, tmp_path):
+        seeded = tmp_path / "seeded.yaml"
+        seeded.write_text(TINY.replace("seed: 0", "seed: 7"))
+        flag, top = tmp_path / "flag", tmp_path / "top"
+        assert main(["simulate", "--config", tiny_config, "--out-dir", str(flag),
+                     "--seed", "7"]) == 0
+        assert main(["simulate", "--config", str(seeded), "--out-dir", str(top)]) == 0
+        assert (flag / "dataset.csv").read_bytes() == (top / "dataset.csv").read_bytes()
+
+    def test_negative_seed_flag_is_validation_error(self, tiny_config, tmp_path, capsys):
+        assert main(["simulate", "--config", tiny_config, "--out-dir", str(tmp_path),
+                     "--seed", "-1"]) == 1
+        assert "seed" in capsys.readouterr().err
 
 
 class TestFitPredict:
@@ -86,6 +130,16 @@ class TestFitPredict:
         assert main(["predict", model_dir, str(features), str(preds)]) == 0
         expected = predict_cate(load_meta(model_dir), X)
         assert np.loadtxt(preds, skiprows=1).tobytes() == expected.tobytes()
+
+    def test_fit_leaves_out_dir_alone(self, tmp_path, tiny_config):
+        sim = tmp_path / "sim"
+        main(["simulate", "--config", tiny_config, "--out-dir", str(sim)])
+        cfg = tmp_path / "fit.yaml"
+        never = tmp_path / "never"
+        cfg.write_text(TINY + f"out_dir: {never}\n")
+        assert main(["fit", str(sim / "dataset.csv"), "--config", str(cfg),
+                     "--model-out", str(tmp_path / "m")]) == 0
+        assert not never.exists()
 
     def test_fit_requires_single_learner(self, tmp_path, tiny_config):
         cfg = tmp_path / "two.yaml"
@@ -145,7 +199,7 @@ class TestSemiSynthetic:
     def test_surrogate_fallback(self, tmp_path):
         cfg = tmp_path / "semi.yaml"
         cfg.write_text(
-            "version: 1\nkind: semi_synthetic\nseed: 5\nn_trials: 1\n"
+            "version: 1\nkind: semi_synthetic\nseed: 0\nn_trials: 1\n"
             "surrogate: {rows: 600, cols: 4}\n"
             "semi_synthetic: {treated_fraction: 0.1}\n"
             "learners:\n  - {name: rx, kind: rx, boost: {n_rounds: 15}}\n"
@@ -160,7 +214,7 @@ class TestSemiSynthetic:
     def test_covariate_csv_with_any_header(self, tmp_path):
         cfg = tmp_path / "semi.yaml"
         cfg.write_text(
-            "version: 1\nkind: semi_synthetic\nseed: 5\nn_trials: 1\n"
+            "version: 1\nkind: semi_synthetic\nseed: 0\nn_trials: 1\n"
             "semi_synthetic: {treated_fraction: 0.1}\n"
             "learners:\n  - {name: rx, kind: rx, boost: {n_rounds: 15}}\n"
         )
@@ -202,9 +256,67 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "mu0.json" in err and "gamma" in err
 
+    def test_non_integer_seed_is_validation_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(TINY.replace("seed: 0", "seed: abc").replace("curve_n: 60", "curve_n: x"))
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "seed: must be an integer >= 0, got 'abc'" in err
+        assert "curve_n: must be an integer, got 'x'" in err
+
     def test_runtime_error_exit_two(self, tiny_config, tmp_path):
         # out-dir collides with an existing file: OS error past validation
         blocker = tmp_path / "blocker"
         blocker.write_text("x")
         assert main(["simulate", "--config", tiny_config,
                      "--out-dir", str(blocker)]) == 2
+
+
+def _drop_part(doc, name):
+    doc["parts"].remove(name)
+
+
+MALFORMED_MANIFESTS = {
+    "no_kind": ("rx", lambda doc: doc.pop("kind")),
+    "bogus_kind": ("rx", lambda doc: doc.update(kind="bogus")),
+    "parts_without_mu0": ("rx", lambda doc: _drop_part(doc, "mu0")),
+    "x_kind_without_tau0": ("rx", lambda doc: _drop_part(doc, "tau0")),
+    "extra_aggregation_key": ("rx", lambda doc: doc["aggregation"].update(extra=1)),
+    "mse_x_without_propensity": ("mse_x", lambda doc: doc.update(propensity_constant=None)),
+    "part_outside_bundle": ("rx", lambda doc: doc["parts"].append("../d")),
+    "two_propensity_sources": ("rx", lambda doc: doc["parts"].append("propensity_model")),
+}
+
+
+@pytest.fixture(scope="module")
+def bundles(tmp_path_factory):
+    root = tmp_path_factory.mktemp("bundles")
+    data = generate_synthetic(ScenarioSpec(n=120, treated_fraction=0.4))
+    boost = BoostConfig(n_rounds=5)
+    for name, spec in (("rx", rx_spec(boost_config=boost)), ("mse_x", mse_x_spec(boost))):
+        save_meta(fit_meta(data, spec), root / name)
+    save_dataset_csv(data, root / "dataset.csv")
+    return root
+
+
+class TestMalformedManifest:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+    def test_predict_exits_one_naming_manifest(self, case, bundles, tmp_path, capsys):
+        learner, edit = MALFORMED_MANIFESTS[case]
+        bundle = tmp_path / "bundle"
+        shutil.copytree(bundles / learner, bundle)
+        (tmp_path / "d.json").write_text((bundle / "mu0.json").read_text())
+        manifest = bundle / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        edit(doc)
+        manifest.write_text(json.dumps(doc))
+        preds = tmp_path / "preds.csv"
+        assert main(["predict", str(bundle), str(bundles / "dataset.csv"), str(preds)]) == 1
+        assert "manifest.json" in capsys.readouterr().err
+        assert not preds.exists()
+
+    def test_unedited_bundles_predict(self, bundles, tmp_path):
+        for learner in ("rx", "mse_x"):
+            preds = tmp_path / f"{learner}.csv"
+            assert main(["predict", str(bundles / learner), str(bundles / "dataset.csv"),
+                         str(preds)]) == 0

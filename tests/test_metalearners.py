@@ -41,18 +41,14 @@ def balanced_dataset(n=200, seed=0, **kwargs):
 
 class TestSpecs:
     def test_rx_requires_welsch_both_stages(self):
-        with pytest.raises(MetaLearnerError):
-            MetaLearnerSpec(kind="rx", base_loss=LossSpec(kind=SQUARED),
-                            stage3_loss=LossSpec(kind=GAMMA_WELSCH))
-        with pytest.raises(MetaLearnerError):
-            MetaLearnerSpec(kind="rx", base_loss=LossSpec(kind=GAMMA_WELSCH),
-                            stage3_loss=LossSpec(kind=SQUARED))
+        with pytest.raises(MetaLearnerError, match="gamma_welsch"):
+            MetaLearnerSpec(kind="rx", loss=LossSpec(kind=SQUARED))
 
     def test_factories(self):
-        assert rx_spec().base_loss.kind == GAMMA_WELSCH
-        assert rx_spec(gamma=0.5).stage3_loss.gamma == 0.5
+        assert rx_spec().loss.kind == GAMMA_WELSCH
+        assert rx_spec(gamma=0.5).loss.gamma == 0.5
         assert mse_x_spec().aggregation.kind == "propensity"
-        assert huber_x_spec().base_loss.kind == "huber"
+        assert huber_x_spec().loss.kind == "huber"
         assert winsorized_x_spec().kind == "winsorized_x"
         assert dr_clipped_spec().kind == "dr_clipped"
         assert t_spec().kind == "t"
@@ -96,23 +92,26 @@ class TestPropensity:
 
     def test_known_constant_override_value(self):
         data = balanced_dataset()
-        spec = MetaLearnerSpec(kind="x", base_loss=LossSpec(kind=SQUARED),
-                               stage3_loss=LossSpec(kind=SQUARED),
+        spec = MetaLearnerSpec(kind="x", loss=LossSpec(kind=SQUARED),
                                propensity_value=0.3)
         const, _ = fit_propensity(data, spec)
         assert const == 0.3
 
     def test_observed_fraction_fallback(self):
         data = CausalDataset(np.ones((4, 1)), np.array([1, 0, 0, 0]), np.zeros(4))
-        spec = MetaLearnerSpec(kind="x", base_loss=LossSpec(kind=SQUARED),
-                               stage3_loss=LossSpec(kind=SQUARED))
+        spec = MetaLearnerSpec(kind="x", loss=LossSpec(kind=SQUARED))
         const, _ = fit_propensity(data, spec)
         assert const == 0.25
 
+    def test_no_propensity_source_raises(self):
+        model = FittedCate(kind="x", mu0=constant_model(0.0), mu1=constant_model(0.0),
+                           aggregation=AggregationScheme(kind="propensity"))
+        with pytest.raises(MetaLearnerError, match="propensity"):
+            aggregation_weights(model, np.zeros((2, 1)))
+
     def test_fitted_propensity_clipped(self):
         data = balanced_dataset(n=400, seed=2)
-        spec = MetaLearnerSpec(kind="x", base_loss=LossSpec(kind=SQUARED),
-                               stage3_loss=LossSpec(kind=SQUARED),
+        spec = MetaLearnerSpec(kind="x", loss=LossSpec(kind=SQUARED),
                                propensity="fitted", boost_config=FAST)
         const, model = fit_propensity(data, spec)
         assert const is None and model is not None
