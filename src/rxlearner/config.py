@@ -131,12 +131,33 @@ def _int_value(doc: dict, key: str, default: int, errors: list, minimum=None) ->
     return value
 
 
+def _list_value(doc: dict, key: str, errors: list) -> list:
+    """The list under ``key`` ([] when absent or null); anything else is a violation."""
+    value = doc.get(key)
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        errors.append(f"{key}: expected a list, got {value!r}")
+        return []
+    return value
+
+
+def _float_list(doc: dict, key: str, errors: list) -> List[float]:
+    out = []
+    for value in _list_value(doc, key, errors):
+        try:
+            out.append(float(value))
+        except (TypeError, ValueError):
+            errors.append(f"{key}: expected a number, got {value!r}")
+    return out
+
+
 def _build_learner(doc: dict, index: int, errors: list):
     where = f"learners[{index}]"
     if not _check_keys(doc, _LEARNER_KEYS, where, errors):
         return None
     kind = doc.get("kind")
-    if kind not in _LEARNER_FACTORIES:
+    if not isinstance(kind, str) or kind not in _LEARNER_FACTORIES:
         errors.append(f"{where}.kind: unknown learner kind {kind!r}")
         return None
     for key, read, why in (
@@ -171,6 +192,9 @@ def _build_learner(doc: dict, index: int, errors: list):
         errors.append(f"{where}: {exc}")
         return None
     name = doc.get("name", kind)
+    if not isinstance(name, str):
+        errors.append(f"{where}.name: expected a string, got {name!r}")
+        return None
     return name, spec
 
 
@@ -204,7 +228,7 @@ def parse_config(doc: dict) -> RunConfig:
                     errors.append(f"surrogate.{k}: required")
 
     learners: Dict[str, MetaLearnerSpec] = {}
-    for i, ldoc in enumerate(doc.get("learners", []) or []):
+    for i, ldoc in enumerate(_list_value(doc, "learners", errors)):
         built = _build_learner(ldoc, i, errors)
         if built is not None:
             name, spec = built
@@ -216,11 +240,11 @@ def parse_config(doc: dict) -> RunConfig:
     curve_n = _int_value(doc, "curve_n", 200, errors)
     curve_outliers = _int_value(doc, "curve_outliers", 5, errors)
 
-    rates = [float(r) for r in doc.get("rates", []) or []]
+    rates = _float_list(doc, "rates", errors)
     for r in rates:
         if not 0.0 <= r < 1.0:
             errors.append(f"rates: rate {r} outside [0, 1)")
-    magnitudes = [float(m) for m in doc.get("magnitudes", []) or []]
+    magnitudes = _float_list(doc, "magnitudes", errors)
 
     if errors:
         raise ConfigError("\n".join(errors))

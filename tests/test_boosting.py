@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rxlearner import boosting
 from rxlearner.boosting import (
     BoostConfig,
     BoostingError,
@@ -13,7 +16,7 @@ from rxlearner.boosting import (
     save_model,
 )
 from rxlearner.datasets import generate_1d_qualitative
-from rxlearner.losses import GAMMA_WELSCH, HUBER, SQUARED, WEIGHT_FLOOR, LossSpec
+from rxlearner.losses import GAMMA_WELSCH, HUBER, SQUARED, WEIGHT_FLOOR, LossSpec, loss_value
 
 LOOSE = BoostConfig(min_samples_leaf=1, min_child_weight=0.0)
 
@@ -237,6 +240,39 @@ class TestPresortedSplitSearch:
             fit_tree(X, np.arange(6.0), np.ones(6), BoostConfig(), order=_feature_order(X[:5]))
 
 
+class TestBatchedSplitSearch:
+    """Nodes search their features in blocks of SEARCH_CELLS cells; trees must
+    not depend on how the features fall into blocks."""
+
+    @pytest.mark.parametrize("cells", [1, 7, 40])
+    @settings(max_examples=150, deadline=None)
+    @given(problem=tree_problems())
+    def test_any_block_size_matches_reference(self, cells, problem):
+        X, t, w, config = problem
+        with mock.patch.object(boosting, "SEARCH_CELLS", cells):
+            got = tree_arrays(fit_tree(X, t, w, config))
+        want = reference_fit_tree(X, t, w, config)
+        for name, a, b in zip(("feature", "threshold", "left", "right", "value"), got, want):
+            assert np.array_equal(a, b, equal_nan=True), name
+
+    @pytest.mark.parametrize("n, d", [(37, 3), (980, 5), (5000, 4)])
+    def test_leaves_give_the_training_predictions(self, n, d):
+        rng = np.random.default_rng(n)
+        X = np.round(rng.normal(size=(n, d)), 1)  # ties put rows on both sides of thresholds
+        t = rng.standard_cauchy(n)
+        w = rng.uniform(0.0, 2.0, size=n)
+        leaves = np.full(n, -1, dtype=np.int64)
+        tree = fit_tree(X, t, w, BoostConfig(max_depth=4), leaves=leaves)
+        assert tree.n_leaves > 1
+        assert np.all(tree.feature[leaves] == -1)
+        assert tree.value[leaves].tobytes() == tree.predict(X).tobytes()
+
+    def test_leaves_of_wrong_shape_rejected(self):
+        X = np.arange(12.0).reshape(6, 2)
+        with pytest.raises(BoostingError, match="leaf array"):
+            fit_tree(X, np.arange(6.0), np.ones(6), BoostConfig(), leaves=np.empty(5, np.int64))
+
+
 class TestBoostConfig:
     @pytest.mark.parametrize("bad", [
         dict(n_rounds=-1),
@@ -346,6 +382,15 @@ class TestFitBoosted:
         model = fit_boosted(X, np.arange(10.0), LossSpec(kind=SQUARED), BoostConfig(n_rounds=2))
         with pytest.raises(BoostingError):
             model.predict(np.ones((5, 3)))
+
+    @pytest.mark.parametrize("kind", [SQUARED, HUBER, GAMMA_WELSCH])
+    def test_last_trace_value_is_loss_of_predictions(self, kind):
+        rng = np.random.default_rng(12)
+        X = np.round(rng.normal(size=(200, 3)), 1)
+        y = X[:, 0] + rng.standard_cauchy(200)
+        model = fit_boosted(X, y, LossSpec(kind=kind), BoostConfig(n_rounds=30))
+        assert len(model.trees) > 0
+        assert model.loss_trace[-1] == loss_value(y - model.predict(X), model.loss_spec)
 
 
 class TestModelIO:

@@ -264,6 +264,25 @@ class TestExitCodes:
         assert "seed: must be an integer >= 0, got 'abc'" in err
         assert "curve_n: must be an integer, got 'x'" in err
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("rates: [0.0, 0.1]", "rates: abc", "rates: expected a list, got 'abc'"),
+        ("magnitudes: [0, 50]", "magnitudes: x", "magnitudes: expected a list, got 'x'"),
+        ("rates: [0.0, 0.1]", "rates: 5", "rates: expected a list, got 5"),
+        ("learners:\n  - {name: rx, kind: rx, boost: {n_rounds: 20}}", "learners: 5",
+         "learners: expected a list, got 5"),
+        ("magnitudes: [0, 50]", "magnitudes: [0, x]", "magnitudes: expected a number, got 'x'"),
+        ("{name: rx, kind: rx,", "{name: [rx], kind: rx,", "learners[0].name: expected a string"),
+        ("{name: rx, kind: rx,", "{name: rx, kind: [rx],", "learners[0].kind: unknown learner kind"),
+    ])
+    def test_ill_typed_value_is_validation_error(self, tmp_path, capsys, old, new, message):
+        cfg = tmp_path / "bad.yaml"
+        assert old in TINY
+        cfg.write_text(TINY.replace(old, new).replace("seed: 0", "seed: abc"))
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "seed: must be an integer >= 0, got 'abc'" in err
+
     def test_runtime_error_exit_two(self, tiny_config, tmp_path):
         # out-dir collides with an existing file: OS error past validation
         blocker = tmp_path / "blocker"
