@@ -4,6 +4,18 @@ The boosting loop enforces the monotone-descent guarantee of the MM scheme:
 each round's residuals define Welsch weights (the Proxy Hessian), a tree is
 fit by weighted least squares, and the proposed step is accepted only if the
 training loss does not increase, backtracking the step size otherwise.
+
+Prediction compiles the trees first. :func:`_compile` joins an ensemble's
+pre-order trees into one routing table and turns every leaf into a node that
+loops to itself (both children the leaf, feature 0), so after as many steps
+as the deepest tree every row of every tree sits on its leaf, whatever depth
+the leaf is at. A row goes right exactly when ``x > threshold``, so a row at a
+threshold goes left, as in training. :func:`_route` then moves all trees'
+rows a level at a time in blocks of ``PREDICT_CELLS`` (tree, row) cells: one
+step gathers each row's split feature and threshold, so the cost grows
+linearly with the depth, and a block's memory does not grow with the row
+count. Predictions are bit-identical to walking each tree node by node: they
+gather the same leaf values and add the trees in the same order.
 """
 
 from __future__ import annotations
@@ -39,6 +51,13 @@ MAX_HALVINGS = 8
 #: on ``peak_rss_mb``. Those nodes search one feature per call.
 SEARCH_CELLS = 1 << 14
 
+#: (tree, row) cells one prediction block routes: an ensemble of T trees
+#: takes PREDICT_CELLS // T rows at a time. A block holds a handful of (T, rows)
+#: index and value arrays of 256 KB each, whatever the row count or depth.
+#: Larger blocks measured no faster at 61,200 rows and 100 trees; smaller
+#: ones pay the per-call cost of each level more often.
+PREDICT_CELLS = 1 << 15
+
 
 class BoostingError(ValueError):
     """Raised for invalid boosting inputs or malformed model files."""
@@ -67,7 +86,13 @@ class BoostConfig:
 
 @dataclass
 class RegressionTree:
-    """Flat-array binary tree; feature == -1 marks a leaf node."""
+    """Flat-array binary tree in pre-order; feature == -1 marks a leaf node.
+
+    An internal node sends a row to ``left`` when ``x[feature] <= threshold``
+    and to ``right`` otherwise, so ties go left. :meth:`predict` routes
+    through the compiled table of :func:`_compile` (see the module docstring),
+    in which each leaf loops to itself.
+    """
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -76,20 +101,82 @@ class RegressionTree:
     value: np.ndarray
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        active = self.feature[node] >= 0
-        while np.any(active):
-            idx = np.flatnonzero(active)
-            nd = node[idx]
-            go_left = X[idx, self.feature[nd]] <= self.threshold[nd]
-            node[idx] = np.where(go_left, self.left[nd], self.right[nd])
-            active = self.feature[node] >= 0
-        return self.value[node]
+        top = int(self.feature.max(initial=-1))
+        X = _as_features(X, top + 1, None, f"the tree (needs at least {top + 1})")
+        out = np.empty(X.shape[0])
+        for rows, leaf in _route(_compile([self]), X):
+            out[rows] = self.value.take(leaf[0])
+        return out
 
     @property
     def n_leaves(self) -> int:
         return int(np.sum(self.feature < 0))
+
+
+def _as_features(X, min_width, max_width, owner) -> np.ndarray:
+    """X as a finite float matrix of min_width to max_width (None: any) columns."""
+    X = np.asarray(X, dtype=float)
+    width = X.shape[1] if X.ndim == 2 else None
+    if width is None or width < min_width or (max_width is not None and width > max_width):
+        raise BoostingError(
+            f"feature count {'?' if width is None else width} does not match {owner}")
+    if not np.all(np.isfinite(X)):
+        raise BoostingError("features contain non-finite values")
+    return X
+
+
+def _compile(trees, max_depth=None):
+    """Routing table of pre-order trees: (feature, threshold, child, roots, depth).
+
+    Node ids run across all trees, tree k's from ``roots[k]``; ``child[i]``
+    holds node i's left and right child. A leaf gets feature 0 and itself as
+    both children. ``depth`` is the deepest tree's depth, found by walking
+    the nodes reachable at each level of all trees at once. A tree with a
+    cycle, or deeper than ``max_depth``, raises BoostingError naming it.
+    """
+    sizes = [tree.feature.size for tree in trees]
+    roots = np.zeros(len(trees), dtype=np.intp)
+    np.cumsum(sizes[:-1], out=roots[1:])
+
+    def joined(name, dtype):
+        return np.concatenate([np.empty(0, dtype), *(getattr(tree, name) for tree in trees)])
+
+    feature = joined("feature", np.intp)
+    leaf = feature < 0
+    offset, ids = np.repeat(roots, sizes), np.arange(feature.size)
+    child = np.empty((feature.size, 2), dtype=np.intp)
+    child[:, 0] = np.where(leaf, ids, joined("left", np.intp) + offset)
+    child[:, 1] = np.where(leaf, ids, joined("right", np.intp) + offset)
+    node, depth, deep = roots[~leaf[roots]], 0, None
+    while node.size:
+        if depth == feature.size:  # a path longer than all the nodes repeats one
+            raise BoostingError(f"tree {np.searchsorted(roots, node[0], 'right') - 1} has a cycle")
+        if depth == max_depth and deep is None:
+            deep = np.searchsorted(roots, node[0], "right") - 1
+        node = np.unique(child[node])
+        node, depth = node[~leaf[node]], depth + 1
+    if deep is not None:
+        raise BoostingError(f"tree {deep} is deeper than max_depth {max_depth}")
+    return np.maximum(feature, 0), joined("threshold", float), child, roots, depth
+
+
+def _route(table, X):
+    """Yield (rows, leaf) per block of X's rows; leaf[k] holds each row's leaf in tree k.
+
+    ``table`` is a :func:`_compile` result and ``rows`` the block's slice of X.
+    Every step moves each (tree, row) cell to a child:
+    node = child[node, x[row, feature[node]] > threshold[node]].
+    """
+    feature, threshold, child, roots, depth = table
+    block = max(1, PREDICT_CELLS // max(1, roots.size))
+    for r0 in range(0, X.shape[0], block):
+        x = np.ascontiguousarray(X[r0:r0 + block])
+        at = np.arange(x.shape[0]) * x.shape[1]  # each row's offset in x
+        x = x.ravel()
+        node = np.repeat(roots[:, None], at.size, axis=1)
+        for _ in range(depth):
+            node = child.take(2 * node + (x.take(at + feature.take(node)) > threshold.take(node)))
+        yield slice(r0, r0 + at.size), node
 
 
 def _weighted_mean(t: np.ndarray, w: np.ndarray) -> float:
@@ -250,17 +337,15 @@ class BoostedEnsemble:
     n_features: int = 0
 
     def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise BoostingError(
-                f"feature count {X.shape[1] if X.ndim == 2 else '?'} does not match "
-                f"training ({self.n_features})"
-            )
-        if not np.all(np.isfinite(X)):
-            raise BoostingError("features contain non-finite values")
+        X = _as_features(X, self.n_features, self.n_features, f"training ({self.n_features})")
+        # (eta * value)[leaf] is eta * value[leaf] bit for bit: scale once, then gather
+        scaled = np.concatenate(
+            [np.empty(0), *(eta * tree.value for eta, tree in zip(self.step_sizes, self.trees))])
         out = np.full(X.shape[0], self.base_prediction)
-        for eta, tree in zip(self.step_sizes, self.trees):
-            out += eta * tree.predict(X)
+        for rows, leaf in _route(_compile(self.trees), X):
+            block = out[rows]
+            for tree_leaf in scaled.take(leaf):  # trees added in order
+                block += tree_leaf
         return out
 
 
@@ -431,7 +516,7 @@ def load_model(path) -> BoostedEnsemble:
             )
             for td in doc["trees"]
         ]
-        return BoostedEnsemble(
+        model = BoostedEnsemble(
             base_prediction=float(doc["base_prediction"]),
             trees=trees,
             step_sizes=[float(v) for v in doc["step_sizes"]],
@@ -440,6 +525,35 @@ def load_model(path) -> BoostedEnsemble:
             config=BoostConfig(**config_doc),
             n_features=int(doc["n_features"]),
         )
+        _check_trees(model)
     except (KeyError, TypeError, ValueError) as exc:
-        # ValueError: an out-of-range LossSpec or BoostConfig field, or a non-numeric array.
+        # ValueError: an out-of-range LossSpec or BoostConfig field, a non-numeric array,
+        # or a BoostingError from _check_trees.
         raise BoostingError(f"{path}: malformed model file: {exc}") from None
+    return model
+
+
+def _check_trees(model: BoostedEnsemble) -> None:
+    """Raise BoostingError unless every tree of a loaded model can be routed.
+
+    A tree must have equal-length 1-D arrays, split only on the model's features,
+    point its internal nodes at nodes that exist, have no cycle, and be no
+    deeper than the model's max_depth; each tree needs its own step size.
+    """
+    if len(model.step_sizes) != len(model.trees):
+        raise BoostingError(f"{len(model.trees)} trees but {len(model.step_sizes)} step sizes")
+    for k, tree in enumerate(model.trees):
+        n = tree.feature.size
+        arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+        if n == 0 or any(a.shape != (n,) for a in arrays):
+            raise BoostingError(f"tree {k}: node arrays are empty or of unequal length")
+        inner = tree.feature >= 0
+        if np.any(tree.feature >= model.n_features):
+            raise BoostingError(f"tree {k}: feature index {tree.feature.max()} is out of "
+                                f"range for {model.n_features} features")
+        children = np.concatenate([tree.left[inner], tree.right[inner]])
+        if np.any((children < 0) | (children >= n)):
+            raise BoostingError(f"tree {k}: child index out of range for {n} nodes")
+        if np.any(np.isnan(tree.threshold[inner])):
+            raise BoostingError(f"tree {k}: NaN threshold at a split")
+    _compile(model.trees, model.config.max_depth)

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from rxlearner import boosting
 from rxlearner.boosting import (
     BoostConfig,
+    BoostedEnsemble,
     BoostingError,
+    RegressionTree,
     fit_boosted,
     fit_boosted_logistic,
     fit_tree,
@@ -273,6 +275,185 @@ class TestBatchedSplitSearch:
             fit_tree(X, np.arange(6.0), np.ones(6), BoostConfig(), leaves=np.empty(5, np.int64))
 
 
+def reference_predict(tree, X):
+    """Route rows node by node through the pre-order arrays with a mask.
+
+    The router as it was before compiled prediction; RegressionTree.predict and
+    BoostedEnsemble.predict must agree with it bit for bit.
+    """
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    active = tree.feature[node] >= 0
+    while np.any(active):
+        idx = np.flatnonzero(active)
+        nd = node[idx]
+        go_left = X[idx, tree.feature[nd]] <= tree.threshold[nd]
+        node[idx] = np.where(go_left, tree.left[nd], tree.right[nd])
+        active = tree.feature[node] >= 0
+    return tree.value[node]
+
+
+def reference_ensemble_predict(model, X):
+    out = np.full(X.shape[0], model.base_prediction)
+    for eta, tree in zip(model.step_sizes, model.trees):
+        out += eta * reference_predict(tree, X)
+    return out
+
+
+#: Feature values and thresholds share one grid, so rows land exactly on thresholds.
+GRID = [-1.5, -0.5, 0.0, 0.25, 1.0, 2.0]
+LEAF_VALUES = st.sampled_from([-0.0, 0.0, 1.0 / 3.0]) | st.floats(-1e6, 1e6)
+
+
+@st.composite
+def hand_trees(draw, d, max_depth):
+    """Pre-order trees with leaves at mixed depths, a single leaf included."""
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def build(depth):
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(np.nan)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+        if depth < max_depth and draw(st.booleans()):
+            feature[node] = draw(st.integers(0, d - 1))
+            threshold[node] = draw(st.sampled_from(GRID))
+            left[node] = build(depth + 1)
+            right[node] = build(depth + 1)
+        else:
+            value[node] = draw(LEAF_VALUES)
+        return node
+
+    build(0)
+    return RegressionTree(
+        feature=np.asarray(feature, dtype=np.int64),
+        threshold=np.asarray(threshold, dtype=float),
+        left=np.asarray(left, dtype=np.int64),
+        right=np.asarray(right, dtype=np.int64),
+        value=np.asarray(value, dtype=float),
+    )
+
+
+@st.composite
+def hand_ensembles(draw):
+    """(model, X): 0-5 hand-built trees and 0-60 rows drawn from the threshold grid."""
+    d = draw(st.integers(1, 3))
+    max_depth = draw(st.integers(1, 5))
+    trees = draw(st.lists(hand_trees(d, max_depth), max_size=5))
+    model = BoostedEnsemble(
+        base_prediction=draw(LEAF_VALUES),
+        trees=trees,
+        step_sizes=draw(st.lists(st.floats(1e-3, 1.0), min_size=len(trees), max_size=len(trees))),
+        config=BoostConfig(max_depth=max_depth),
+        n_features=d,
+    )
+    n = draw(st.integers(0, 60))
+    X = np.asarray(draw(st.lists(st.sampled_from(GRID), min_size=n * d, max_size=n * d)))
+    return model, X.reshape(n, d)
+
+
+class TestCompiledPredict:
+    """Routing all trees a level at a time in blocks of PREDICT_CELLS cells must
+    predict exactly what the node-by-node router predicts, for any block size."""
+
+    @pytest.mark.parametrize("cells", [1, 7, 40, 200, boosting.PREDICT_CELLS])
+    @settings(max_examples=100, deadline=None)
+    @given(case=hand_ensembles())
+    def test_hand_built_trees_match_reference(self, cells, case):
+        model, X = case
+        with mock.patch.object(boosting, "PREDICT_CELLS", cells):
+            got = model.predict(X)
+            for tree in model.trees:
+                assert tree.predict(X).tobytes() == reference_predict(tree, X).tobytes()
+        assert got.tobytes() == reference_ensemble_predict(model, X).tobytes()
+
+    @pytest.mark.parametrize("cells", [1, 7, 40, 200])
+    @settings(max_examples=60, deadline=None)
+    @given(problem=tree_problems())
+    def test_fitted_trees_match_reference(self, cells, problem):
+        X, t, w, config = problem
+        tree = fit_tree(X, t, w, config)
+        model = BoostedEnsemble(base_prediction=0.1, trees=[tree, tree], step_sizes=[0.3, 1.0 / 3.0],
+                                config=config, n_features=X.shape[1])
+        with mock.patch.object(boosting, "PREDICT_CELLS", cells):
+            assert tree.predict(X).tobytes() == reference_predict(tree, X).tobytes()
+            assert model.predict(X).tobytes() == reference_ensemble_predict(model, X).tobytes()
+
+    def test_boosted_model_matches_reference_across_blocks(self):
+        rng = np.random.default_rng(14)
+        X = np.round(rng.normal(size=(300, 4)), 1)
+        y = X[:, 0] - X[:, 1] ** 2 + rng.standard_cauchy(300)
+        model = fit_boosted(X, y, LossSpec(kind=GAMMA_WELSCH), BoostConfig(n_rounds=40, max_depth=4))
+        want = reference_ensemble_predict(model, X)
+        # 40 trees = 40 cells a row: blocks of 1, 7, 299, 300 and 301 rows.
+        assert len(model.trees) == 40 and boosting._compile(model.trees)[4] == 4
+        for cells in (1, 7, 40, 40 * 7, 40 * 299, 40 * 300, 40 * 301):
+            with mock.patch.object(boosting, "PREDICT_CELLS", cells):
+                assert model.predict(X).tobytes() == want.tobytes()
+
+    def test_no_trees_and_no_rows(self):
+        model = BoostedEnsemble(base_prediction=-0.0, n_features=2)
+        assert model.predict(np.ones((3, 2))).tobytes() == np.full(3, -0.0).tobytes()
+        assert model.predict(np.empty((0, 2))).shape == (0,)
+        leaf = RegressionTree(feature=np.array([-1]), threshold=np.array([np.nan]),
+                              left=np.array([-1]), right=np.array([-1]), value=np.array([-0.0]))
+        assert leaf.predict(np.ones((1, 2))).tobytes() == np.array([-0.0]).tobytes()
+        assert leaf.predict(np.empty((0, 2))).shape == (0,)
+        # No features at all: nothing to compare, every row gets the constant.
+        assert leaf.predict(np.empty((3, 0))).tobytes() == np.full(3, -0.0).tobytes()
+        assert BoostedEnsemble(base_prediction=1.5).predict(np.empty((2, 0))).tolist() == [1.5, 1.5]
+
+    def test_row_at_threshold_goes_left(self):
+        tree = RegressionTree(feature=np.array([1, -1, -1]), threshold=np.array([0.5, np.nan, np.nan]),
+                              left=np.array([1, -1, -1]), right=np.array([2, -1, -1]),
+                              value=np.array([0.0, -1.0, 1.0]))
+        X = np.array([[9.0, 0.5], [9.0, np.nextafter(0.5, 1.0)], [9.0, -3.0]])
+        np.testing.assert_array_equal(tree.predict(X), [-1.0, 1.0, -1.0])
+
+    @pytest.mark.parametrize("X, message", [
+        (np.array([[0.0, np.nan]]), "non-finite"),
+        (np.array([[np.inf, 0.0]]), "non-finite"),
+        (np.ones((2, 1)), "feature count 1"),
+        (np.ones(2), "feature count"),
+    ])
+    def test_tree_rejects_bad_features(self, X, message):
+        tree = RegressionTree(feature=np.array([1, -1, -1]), threshold=np.array([0.5, np.nan, np.nan]),
+                              left=np.array([1, -1, -1]), right=np.array([2, -1, -1]),
+                              value=np.array([0.0, -1.0, 1.0]))
+        with pytest.raises(BoostingError, match=message):
+            tree.predict(X)
+
+    def test_cyclic_tree_raises(self):
+        tree = RegressionTree(feature=np.array([0, -1]), threshold=np.array([0.5, np.nan]),
+                              left=np.array([0, -1]), right=np.array([1, -1]),
+                              value=np.array([0.0, 1.0]))
+        with pytest.raises(BoostingError, match="tree 0 has a cycle"):
+            tree.predict(np.ones((2, 1)))
+
+    def test_shared_child_routes_like_reference(self):
+        # Both of the root's children are node 1: not a pre-order tree, but routable.
+        tree = RegressionTree(feature=np.array([0, -1]), threshold=np.array([0.5, np.nan]),
+                              left=np.array([1, -1]), right=np.array([1, -1]),
+                              value=np.array([0.0, 2.0]))
+        X = np.array([[0.0], [1.0]])
+        assert tree.predict(X).tobytes() == reference_predict(tree, X).tobytes()
+
+    def test_cost_is_linear_in_depth(self):
+        # A 30-level chain: routing takes 30 steps, with no 2^30-sized table behind them.
+        n = 61
+        feature = np.where(np.arange(n) % 2 == 0, 0, -1)
+        feature[-1] = -1
+        left = np.where(feature >= 0, np.arange(n) + 1, -1)
+        right = np.where(feature >= 0, np.arange(n) + 2, -1)
+        threshold = np.where(feature >= 0, np.arange(n) / 2.0, np.nan)
+        tree = RegressionTree(feature=feature, threshold=threshold, left=left, right=right,
+                              value=np.arange(n, dtype=float))
+        assert boosting._compile([tree])[4] == 30
+        X = np.array([[-1.0], [4.0], [100.0]])
+        assert tree.predict(X).tobytes() == reference_predict(tree, X).tobytes()
+
+
 class TestBoostConfig:
     @pytest.mark.parametrize("bad", [
         dict(n_rounds=-1),
@@ -457,6 +638,33 @@ class TestModelIO:
         path = tmp_path / "m.json"
         path.write_text("{not json")
         with pytest.raises(BoostingError, match="malformed"):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["trees"][0]["left"].__setitem__(0, 0), "tree 0 has a cycle"),
+        (lambda doc: doc["trees"][1]["right"].__setitem__(1, 0), "tree 1 has a cycle"),
+        (lambda doc: doc["trees"][2]["feature"].__setitem__(0, 40), "tree 2: feature index 40"),
+        (lambda doc: doc["step_sizes"].pop(), "4 trees but 3 step sizes"),
+        (lambda doc: doc["trees"][3]["right"].__setitem__(0, 99), "tree 3: child index out of range"),
+        (lambda doc: doc["trees"][0]["left"].__setitem__(0, -1), "tree 0: child index out of range"),
+        (lambda doc: doc["trees"][1]["value"].pop(), "tree 1: node arrays are empty or of unequal"),
+        (lambda doc: doc["trees"][2]["threshold"].__setitem__(0, float("nan")), "tree 2: NaN threshold"),
+        (lambda doc: doc["config"].__setitem__("max_depth", 2), "tree 0 is deeper than max_depth 2"),
+    ])
+    def test_unroutable_tree_rejected(self, tmp_path, edit, message):
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(200, 3))
+        model = fit_boosted(X, X[:, 0] * X[:, 1] + X[:, 2], LossSpec(kind=SQUARED),
+                            BoostConfig(n_rounds=4, max_depth=3))
+        # Node 1 is the root's left child in pre-order; the edits need both to split.
+        assert len(model.trees) == 4 and all(np.all(t.feature[:2] >= 0) for t in model.trees)
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        import json
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BoostingError, match=f"m.json: malformed model file: {message}"):
             load_model(path)
 
 

@@ -256,6 +256,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "mu0.json" in err and "gamma" in err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["trees"][0]["left"].__setitem__(0, 0), "tree 0 has a cycle"),
+        (lambda doc: doc["trees"][0]["feature"].__setitem__(0, 40), "tree 0: feature index 40"),
+        (lambda doc: doc["step_sizes"].pop(), "20 trees but 19 step sizes"),
+    ])
+    def test_unroutable_bundle_tree_is_validation_error(self, tiny_config, tmp_path, capsys,
+                                                        edit, message):
+        sim = tmp_path / "sim"
+        main(["simulate", "--config", tiny_config, "--out-dir", str(sim)])
+        dataset = str(sim / "dataset.csv")
+        model_dir = tmp_path / "model"
+        assert main(["fit", dataset, "--config", tiny_config, "--model-out", str(model_dir)]) == 0
+        part = model_dir / "tau0.json"
+        doc = json.loads(part.read_text())
+        assert len(doc["trees"]) == 20 and doc["trees"][0]["feature"][0] >= 0
+        edit(doc)
+        part.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["predict", str(model_dir), dataset, str(tmp_path / "preds.csv")]) == 1
+        err = capsys.readouterr().err
+        assert f"tau0.json: malformed model file: {message}" in err
+
     def test_non_integer_seed_is_validation_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(TINY.replace("seed: 0", "seed: abc").replace("curve_n: 60", "curve_n: x"))

@@ -441,3 +441,29 @@ class TestTableReader:
         path.write_text(text)
         with pytest.raises(DatasetError, match=cause):
             load_table_csv(path)
+
+    @pytest.mark.parametrize("block_bytes", [1, 25, 1 << 18])
+    def test_blocks_read_like_one_parse(self, tmp_path, monkeypatch, block_bytes):
+        # Blank lines and a last line without a newline; blocks must not drop or shift rows.
+        monkeypatch.setattr(datasets_module, "CSV_READ_BYTES", block_bytes)
+        path = tmp_path / "t.csv"
+        path.write_text("a,b,w,y\n1.5,2,0,0.1\n\n\n3,4e-1,1,-0.0\n5,6,0,1e-300\n-7,8,1,2")
+        X, named = load_table_csv(path)
+        want = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert X.flags.c_contiguous and X.tobytes() == np.ascontiguousarray(want[:, :2]).tobytes()
+        assert named["w"].tobytes() == want[:, 2].tobytes()
+        assert named["y"].tobytes() == want[:, 3].tobytes()
+
+    @pytest.mark.parametrize("block_bytes", [1, 25])
+    @pytest.mark.parametrize("text, cause", [
+        ("f0,w,y\n0.5,1,2.0\n0.2,0,1\n0.3,1\n", "row 4 has 2 cells, expected 3"),
+        ("f0,w,y\n0.5,1,2.0\n0.2,0,1\n0.3,1,2,4\n", "row 4 has 4 cells, expected 3"),
+        ("f0,w,y\n0.5,1,2.0\n0.2,0,1\n0.3,x,2\n", "non-numeric cell at row 4, column 'w'"),
+        ("f0,w,y\n\n\n", "no data rows"),
+    ])
+    def test_bad_row_in_a_later_block(self, tmp_path, monkeypatch, block_bytes, text, cause):
+        monkeypatch.setattr(datasets_module, "CSV_READ_BYTES", block_bytes)
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DatasetError, match=cause):
+            load_table_csv(path)
