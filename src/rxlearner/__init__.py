@@ -20,7 +20,9 @@ from .losses import LossSpec, gamma_loss, gradient_and_weight, mad_scale, welsch
 from .boosting import (
     BoostConfig,
     BoostedEnsemble,
+    FeatureIndex,
     RegressionTree,
+    feature_index,
     fit_boosted,
     fit_tree,
     load_model,

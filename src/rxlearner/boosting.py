@@ -5,6 +5,17 @@ each round's residuals define Welsch weights (the Proxy Hessian), a tree is
 fit by weighted least squares, and the proposed step is accepted only if the
 training loss does not increase, backtracking the step size otherwise.
 
+Trees are grown by the exact presorted split search (the sorted column blocks
+of XGBoost, Chen & Guestrin, KDD 2016, section 4.1). A :class:`FeatureIndex`
+holds a matrix sorted once per feature and a column-major copy of it; every
+tree fit on that matrix reuses it, and so does every fit that shares it. A node
+keeps, per feature, its rows in that feature's order, reads their values,
+targets and weights with ``take`` gathers, and scores all cut points of a
+block of features from prefix sums in :func:`_best_splits`. The trees are the
+same bit for bit as sorting each node's rows stably: the prefix sums add the
+same values in the same order, and every gain is computed by the same
+sequence of operations.
+
 Prediction compiles the trees first. :func:`_compile` joins an ensemble's
 pre-order trees into one routing table and turns every leaf into a node that
 loops to itself (both children the leaf, feature 0), so after as many steps
@@ -187,16 +198,20 @@ def _best_splits(xs, ts, ws, config: BoostConfig):
     """Best (gain, threshold) of each row of a block of sorted features.
 
     ``xs`` is a (k, m) block, each row one feature's values at a node in
-    ascending order, with ``ts`` and ``ws`` aligned to it. Gain is the
-    weighted-SSE reduction from prefix sums; ``np.cumsum`` along a row adds
-    sequentially, so each row's sums equal those of a 1-D search. A row with no
-    valid split gets gain -inf. Ties on gain resolve to the lowest threshold
-    (argmax picks the first position in ascending threshold order).
+    ascending order, with ``ts`` and ``ws`` aligned to it; the search works in
+    place and overwrites ``ts`` and ``ws``. Gain is the weighted-SSE reduction
+    from prefix sums; ``np.cumsum`` along a row adds sequentially, so each
+    row's sums equal those of a 1-D search. Every expression keeps the order of
+    its operations, so writing through ``out=`` gives each gain the same
+    double. A row with no valid split gets gain -inf. Ties on gain resolve to
+    the lowest threshold (argmax picks the first position in ascending
+    threshold order).
     """
     wt = ws * ts
-    cw = np.cumsum(ws, axis=1)
-    cwt = np.cumsum(wt, axis=1)
-    cwt2 = np.cumsum(wt * ts, axis=1)
+    cw = np.cumsum(ws, axis=1, out=ws)
+    ts *= wt  # w*t*t
+    cwt2 = np.cumsum(ts, axis=1, out=ts)
+    cwt = np.cumsum(wt, axis=1, out=wt)
     total_w, total_wt, total_wt2 = cw[:, -1:], cwt[:, -1:], cwt2[:, -1:]
     total_sse = total_wt2 - total_wt * total_wt / total_w
 
@@ -208,27 +223,87 @@ def _best_splits(xs, ts, ws, config: BoostConfig):
     rw = total_w - lw
     valid &= (lw >= config.min_child_weight) & (rw >= config.min_child_weight)
 
+    # sse_l = cwt2 - cwt**2 / lw, sse_r = (total_wt2 - cwt2) - (total_wt - cwt)**2 / rw
+    # and gain = total_sse - (sse_l + sse_r), evaluated in place in that order.
     with np.errstate(divide="ignore", invalid="ignore"):
-        sse_l = cwt2[:, lo:hi] - cwt[:, lo:hi] ** 2 / lw
-        sse_r = (total_wt2 - cwt2[:, lo:hi]) - (total_wt - cwt[:, lo:hi]) ** 2 / rw
-    gain = np.where(valid, total_sse - (sse_l + sse_r), -np.inf)
+        sse_l = np.square(cwt[:, lo:hi])
+        sse_l /= lw
+        np.subtract(cwt2[:, lo:hi], sse_l, out=sse_l)
+        sse_r = np.subtract(total_wt, cwt[:, lo:hi])
+        np.square(sse_r, out=sse_r)
+        sse_r /= rw
+        right_wt2 = np.subtract(total_wt2, cwt2[:, lo:hi], out=rw)  # rw is not read again
+        np.subtract(right_wt2, sse_r, out=sse_r)
+        sse_l += sse_r
+        gain = np.subtract(total_sse, sse_l, out=sse_l)
+    gain[~valid] = -np.inf
     rows = np.arange(xs.shape[0])
-    best = lo + np.argmax(gain, axis=1)
-    return gain[rows, best - lo], 0.5 * (xs[rows, best] + xs[rows, best + 1])
+    best = np.argmax(gain, axis=1)
+    return gain[rows, best], 0.5 * (xs[rows, best + lo] + xs[rows, best + lo + 1])
+
+
+def _offsets(o, j0, n):
+    """Flat positions, in a C-contiguous (d, n) matrix, of rows ``o[i]`` of column j0 + i.
+
+    The result is intp: ``o`` holds int32 row numbers, and the column starts
+    ``j * n`` would wrap in int32 once d * n reaches 2**31.
+    """
+    return o + np.arange(j0 * n, (j0 + o.shape[0]) * n, n, dtype=np.intp)[:, None]
 
 
 def _feature_order(X: np.ndarray) -> np.ndarray:
     """Stable argsort of every column of X, as a contiguous (d, n) int32 array.
 
     Row j lists the row indices in ascending order of feature j, ties in
-    ascending row order. The matrix does not change inside a boosting fit, so
-    the fit sorts once and every tree reuses the index.
+    ascending row order.
     """
     n, d = X.shape
     order = np.empty((d, n), dtype=np.int32)
     for j in range(d):
         order[j] = np.argsort(X[:, j], kind="stable")
     return order
+
+
+@dataclass(frozen=True, eq=False)
+class FeatureIndex:
+    """The presorted split-search index of one (n, d) feature matrix.
+
+    ``columns`` is the matrix in column-major layout: a C-contiguous (d, n)
+    copy whose row j is feature j, so a node reads one feature's values from
+    one contiguous column. ``order`` is the (d, n) int32 argsort of
+    :func:`_feature_order`. Together they take 12 bytes per cell. The matrix
+    does not change within a fit, nor between the fits a meta-learner makes on
+    one arm, so it is sorted once and every tree of those fits reuses it.
+    """
+
+    columns: np.ndarray
+    order: np.ndarray
+
+    def __post_init__(self):
+        if self.columns.ndim != 2 or self.order.shape != self.columns.shape:
+            raise BoostingError(f"feature index columns of shape {self.columns.shape} "
+                                f"and order of shape {self.order.shape} do not match")
+
+
+def feature_index(features) -> FeatureIndex:
+    """Build the :class:`FeatureIndex` of an (n, d) feature matrix."""
+    X = np.asarray(features, dtype=float)
+    if X.ndim != 2:
+        raise BoostingError(f"features of shape {X.shape} are not a matrix")
+    columns = np.ascontiguousarray(X.T)
+    return FeatureIndex(columns=columns, order=_feature_order(columns.T))
+
+
+def _index_for(X: np.ndarray, index) -> FeatureIndex:
+    """``index`` if it was built from X, or X's own index when it is None."""
+    if index is None:
+        return feature_index(X)
+    if index.columns.shape != X.shape[::-1]:
+        raise BoostingError(f"feature index of shape {index.columns.shape} was built from a "
+                            f"{index.columns.shape[::-1]} matrix, not the features' {X.shape}")
+    if not np.array_equal(index.columns.T, X):
+        raise BoostingError(f"feature index was built from another {X.shape} matrix")
+    return index
 
 
 def fit_tree(X, targets, instance_weights, config: BoostConfig, *, order=None,
@@ -239,12 +314,15 @@ def fit_tree(X, targets, instance_weights, config: BoostConfig, *, order=None,
     least-squares minimizer, i.e. the MM inner step). Split ties resolve to
     the lowest feature index, then the lowest threshold.
 
-    ``order`` is the feature index of :func:`_feature_order` for X; it is built
-    here when omitted. Each node splits its per-feature sorted row lists
+    ``order`` is the (d, n) argsort of :func:`_feature_order` for X; it is
+    built here when omitted. Each node splits its per-feature sorted row lists
     stably instead of sorting again (the exact presorted method), so every
     prefix sum adds in the same order as a per-node stable sort would. A node
     searches its features in blocks of up to ``SEARCH_CELLS`` cells with one
-    :func:`_best_splits` call per block.
+    :func:`_best_splits` call per block. The block's feature values come from
+    one flat ``take`` on the column-major copy of X at the intp offsets of
+    :func:`_offsets`, its targets and weights from ``take`` by row number. The
+    copy is a view when X is Fortran-ordered, as ``FeatureIndex.columns.T`` is.
 
     ``leaves``, if given, is a length-n integer array that receives each
     training row's leaf node, so ``tree.value[leaves]`` equals
@@ -259,14 +337,16 @@ def fit_tree(X, targets, instance_weights, config: BoostConfig, *, order=None,
         raise BoostingError("weights must be nonnegative with at least one positive")
     w = np.maximum(w, WEIGHT_FLOOR)
     n, d = X.shape
+    columns = np.ascontiguousarray(X.T)  # a view when X is Fortran-ordered
+    flat = columns.reshape(-1)
     if order is None:
-        order = _feature_order(X)
+        order = _feature_order(columns.T)
     elif np.shape(order) != (d, n):
-        raise BoostingError(f"feature order has shape {np.shape(order)}, expected {(d, n)}")
+        raise BoostingError(f"feature order has shape {np.shape(order)}, but features of "
+                            f"shape {(n, d)} need {(d, n)}")
     if leaves is not None and np.shape(leaves) != (n,):
         raise BoostingError(f"leaf array has shape {np.shape(leaves)}, expected {(n,)}")
     in_left = np.zeros(n, dtype=bool)  # reused: each split writes, then reads, its own rows
-    columns = np.arange(d)[:, None]
 
     feature, threshold, left, right, value = [], [], [], [], []
     # Depth-first with an explicit stack, numbering nodes in pre-order. Each
@@ -291,26 +371,24 @@ def fit_tree(X, targets, instance_weights, config: BoostConfig, *, order=None,
             block = max(1, SEARCH_CELLS // idx.size)
             for j0 in range(0, d, block):
                 o = node_order[j0:j0 + block]
-                # One feature: X[o, j] takes numpy's single-index gather, which
-                # at 30k rows is ~40% faster than a pair of broadcast indices.
-                xs = X[o, j0] if block == 1 else X[o, columns[j0:j0 + block]]
-                gains, thrs = _best_splits(xs, t[o], w[o], config)
+                xs = flat.take(_offsets(o, j0, n))
+                gains, thrs = _best_splits(xs, t.take(o), w.take(o), config)
                 for j, gain, thr in zip(range(j0, d), gains.tolist(), thrs.tolist()):
                     if gain > best_gain:
                         best_gain, best_feat, best_thr = gain, j, thr
         if best_feat < 0:
-            value[node] = _weighted_mean(t[idx], w[idx])
+            value[node] = _weighted_mean(t.take(idx), w.take(idx))
             if leaves is not None:
                 leaves[idx] = node
             continue
         feature[node] = best_feat
         threshold[node] = best_thr
-        go_left = X[idx, best_feat] <= best_thr
+        go_left = columns[best_feat].take(idx) <= best_thr
         left_order = right_order = None  # children at max_depth are leaves
         if depth + 1 < config.max_depth:
             n_left = int(np.count_nonzero(go_left))
             in_left[idx] = go_left
-            mask = in_left[node_order]
+            mask = in_left.take(node_order)
             left_order = node_order[mask].reshape(d, n_left)
             right_order = node_order[~mask].reshape(d, idx.size - n_left)
         stack.append((idx[~go_left], right_order, depth + 1, right, node))
@@ -335,21 +413,27 @@ class BoostedEnsemble:
     loss_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
     config: BoostConfig = field(default_factory=BoostConfig)
     n_features: int = 0
+    # The routing table of _compile, built by load_model's check or on the
+    # first predict; the trees of a fitted or loaded model do not change.
+    _table: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def predict(self, X) -> np.ndarray:
         X = _as_features(X, self.n_features, self.n_features, f"training ({self.n_features})")
+        if self._table is None:
+            self._table = _compile(self.trees)
         # (eta * value)[leaf] is eta * value[leaf] bit for bit: scale once, then gather
         scaled = np.concatenate(
             [np.empty(0), *(eta * tree.value for eta, tree in zip(self.step_sizes, self.trees))])
         out = np.full(X.shape[0], self.base_prediction)
-        for rows, leaf in _route(_compile(self.trees), X):
+        for rows, leaf in _route(self._table, X):
             block = out[rows]
             for tree_leaf in scaled.take(leaf):  # trees added in order
                 block += tree_leaf
         return out
 
 
-def fit_boosted(features, targets, loss: LossSpec, config: BoostConfig) -> BoostedEnsemble:
+def fit_boosted(features, targets, loss: LossSpec, config: BoostConfig, *,
+                index: FeatureIndex | None = None) -> BoostedEnsemble:
     """MM gradient boosting with a step-halving monotonicity safeguard.
 
     Robust losses initialize at the target median and anchor sigma-hat via
@@ -357,6 +441,12 @@ def fit_boosted(features, targets, loss: LossSpec, config: BoostConfig) -> Boost
     step F + eta*h is accepted only if the training loss does not increase;
     otherwise eta is halved up to MAX_HALVINGS times and the loop stops if
     descent still fails (further rounds would propose the identical tree).
+
+    ``index`` is the :class:`FeatureIndex` of ``features``, so that fits on
+    one matrix sort it once; it is built here when omitted. An index built
+    from another matrix raises BoostingError. Every round's tree is fit on the
+    index's column-major copy with its presorted order, so sharing an index
+    changes no bit of the ensemble.
     """
     X = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -381,11 +471,11 @@ def fit_boosted(features, targets, loss: LossSpec, config: BoostConfig) -> Boost
     cur = loss_value(r, spec)
     trees, steps, trace = [], [], []
 
-    order = _feature_order(X)
+    index = _index_for(X, index)
     leaves = np.empty(y.size, dtype=np.int64)
     for _ in range(config.n_rounds):
         _, w = gradient_and_weight(r, spec)
-        tree = fit_tree(X, r, w, config, order=order, leaves=leaves)
+        tree = fit_tree(index.columns.T, r, w, config, order=index.order, leaves=leaves)
         h = tree.value[leaves]
         eta = config.learning_rate
         accepted = False
@@ -416,9 +506,13 @@ def fit_boosted(features, targets, loss: LossSpec, config: BoostConfig) -> Boost
     )
 
 
-def fit_boosted_logistic(features, labels, config: BoostConfig) -> BoostedEnsemble:
+def fit_boosted_logistic(features, labels, config: BoostConfig, *,
+                         index: FeatureIndex | None = None) -> BoostedEnsemble:
     """Log-odds boosting for binary labels with squared-error trees on
-    log-loss gradient residuals. Used for propensity estimation."""
+    log-loss gradient residuals. Used for propensity estimation.
+
+    ``index`` is taken as in :func:`fit_boosted`.
+    """
     X = np.asarray(features, dtype=float)
     z = np.asarray(labels, dtype=float)
     if not np.all(np.isin(z, (0.0, 1.0))):
@@ -427,12 +521,13 @@ def fit_boosted_logistic(features, labels, config: BoostConfig) -> BoostedEnsemb
     f0 = float(np.log(p0 / (1 - p0)))
     F = np.full(z.size, f0)
     trees, steps, trace = [], [], []
-    order = _feature_order(X)
+    index = _index_for(X, index)
     leaves = np.empty(z.size, dtype=np.int64)
     for _ in range(config.n_rounds):
         p = 1.0 / (1.0 + np.exp(-F))
         resid = z - p
-        tree = fit_tree(X, resid, np.ones_like(resid), config, order=order, leaves=leaves)
+        tree = fit_tree(index.columns.T, resid, np.ones_like(resid), config, order=index.order,
+                        leaves=leaves)
         F = F + config.learning_rate * tree.value[leaves]
         trees.append(tree)
         steps.append(config.learning_rate)
@@ -525,7 +620,7 @@ def load_model(path) -> BoostedEnsemble:
             config=BoostConfig(**config_doc),
             n_features=int(doc["n_features"]),
         )
-        _check_trees(model)
+        model._table = _check_trees(model)
     except (KeyError, TypeError, ValueError) as exc:
         # ValueError: an out-of-range LossSpec or BoostConfig field, a non-numeric array,
         # or a BoostingError from _check_trees.
@@ -533,8 +628,8 @@ def load_model(path) -> BoostedEnsemble:
     return model
 
 
-def _check_trees(model: BoostedEnsemble) -> None:
-    """Raise BoostingError unless every tree of a loaded model can be routed.
+def _check_trees(model: BoostedEnsemble) -> tuple:
+    """The routing table of a loaded model's trees, or BoostingError if one cannot be routed.
 
     A tree must have equal-length 1-D arrays, split only on the model's features,
     point its internal nodes at nodes that exist, have no cycle, and be no
@@ -556,4 +651,4 @@ def _check_trees(model: BoostedEnsemble) -> None:
             raise BoostingError(f"tree {k}: child index out of range for {n} nodes")
         if np.any(np.isnan(tree.threshold[inner])):
             raise BoostingError(f"tree {k}: NaN threshold at a split")
-    _compile(model.trees, model.config.max_depth)
+    return _compile(model.trees, model.config.max_depth)

@@ -13,6 +13,7 @@ import numpy as np
 from .boosting import (
     BoostConfig,
     BoostedEnsemble,
+    feature_index,
     fit_boosted,
     fit_boosted_logistic,
     load_model,
@@ -157,10 +158,11 @@ def impute_pseudo_outcomes(mu0: BoostedEnsemble, mu1: BoostedEnsemble, data: Cau
     return d1, d0
 
 
-def fit_propensity(data: CausalDataset, spec: MetaLearnerSpec):
+def fit_propensity(data: CausalDataset, spec: MetaLearnerSpec, *, index=None):
     """Constant propensity (known randomization) or a boosted logistic fit.
 
-    Returns (constant, model); exactly one of the pair is set.
+    Returns (constant, model); exactly one of the pair is set. ``index`` is the
+    feature index of ``data.features`` for the logistic fit (built when None).
     """
     if spec.propensity == PROPENSITY_KNOWN:
         if spec.propensity_value is not None:
@@ -168,7 +170,8 @@ def fit_propensity(data: CausalDataset, spec: MetaLearnerSpec):
         if data.true_propensity is not None:
             return float(data.true_propensity), None
         return float(np.mean(data.treatment)), None
-    model = fit_boosted_logistic(data.features, data.treatment.astype(float), spec.boost_config)
+    model = fit_boosted_logistic(data.features, data.treatment.astype(float), spec.boost_config,
+                                 index=index)
     return None, model
 
 
@@ -191,7 +194,12 @@ def _check_arms(data: CausalDataset, config: BoostConfig):
 
 
 def fit_meta(data: CausalDataset, spec: MetaLearnerSpec) -> FittedCate:
-    """Fit a meta-learner end to end on one dataset."""
+    """Fit a meta-learner end to end on one dataset.
+
+    Each feature matrix is sorted once: stage 1 and stage 3 fit on the same
+    arm matrices, and the propensity and dr_clipped's final model on the full
+    one, so every fit on a matrix shares its :func:`feature_index`.
+    """
     cfg = spec.boost_config
     _check_arms(data, cfg)
 
@@ -199,11 +207,17 @@ def fit_meta(data: CausalDataset, spec: MetaLearnerSpec) -> FittedCate:
         data = winsorize_outcomes(data, 0.01, 0.99)
 
     treated, control = data.treated_idx, data.control_idx
-    Xt, Xc = data.features[treated], data.features[control]
-    mu0 = fit_boosted(Xc, data.outcome[control], spec.loss, cfg)
-    mu1 = fit_boosted(Xt, data.outcome[treated], spec.loss, cfg)
+    # An arm's matrix is its index's column-major copy, so no row-major copy
+    # of the arm is kept beside it.
+    index_t, index_c = feature_index(data.features[treated]), feature_index(data.features[control])
+    Xt, Xc = index_t.columns.T, index_c.columns.T
+    mu0 = fit_boosted(Xc, data.outcome[control], spec.loss, cfg, index=index_c)
+    mu1 = fit_boosted(Xt, data.outcome[treated], spec.loss, cfg, index=index_t)
 
-    p_const, p_model = fit_propensity(data, spec)
+    index_all = None
+    if spec.kind == KIND_DR or spec.propensity == PROPENSITY_FITTED:
+        index_all = feature_index(data.features)
+    p_const, p_model = fit_propensity(data, spec, index=index_all)
     fitted = FittedCate(
         kind=spec.kind, mu0=mu0, mu1=mu1,
         propensity_constant=p_const, propensity_model=p_model,
@@ -219,12 +233,12 @@ def fit_meta(data: CausalDataset, spec: MetaLearnerSpec) -> FittedCate:
         m1, m0 = mu1.predict(data.features), mu0.predict(data.features)
         mu_w = np.where(w == 1, m1, m0)
         phi = m1 - m0 + (w - pi) / (pi * (1.0 - pi)) * (data.outcome - mu_w)
-        fitted.final_model = fit_boosted(data.features, phi, spec.loss, cfg)
+        fitted.final_model = fit_boosted(data.features, phi, spec.loss, cfg, index=index_all)
         return fitted
 
     d1, d0 = impute_pseudo_outcomes(mu0, mu1, data)
-    fitted.tau1 = fit_boosted(Xt, d1, spec.loss, cfg)
-    fitted.tau0 = fit_boosted(Xc, d0, spec.loss, cfg)
+    fitted.tau1 = fit_boosted(Xt, d1, spec.loss, cfg, index=index_t)
+    fitted.tau0 = fit_boosted(Xc, d0, spec.loss, cfg, index=index_c)
     fitted.arm_variance = (
         estimate_arm_variance(fitted.tau0, Xc, d0),
         estimate_arm_variance(fitted.tau1, Xt, d1),

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -273,6 +274,78 @@ class TestBatchedSplitSearch:
         X = np.arange(12.0).reshape(6, 2)
         with pytest.raises(BoostingError, match="leaf array"):
             fit_tree(X, np.arange(6.0), np.ones(6), BoostConfig(), leaves=np.empty(5, np.int64))
+
+
+def ensemble_bytes(model):
+    """Every array and number a fit produces, as bytes."""
+    parts = [np.float64(model.base_prediction).tobytes(), np.asarray(model.step_sizes).tobytes(),
+             model.loss_trace.tobytes(), repr(model.loss_spec).encode()]
+    for tree in model.trees:
+        parts += [a.tobytes() for a in tree_arrays(tree)]
+    return b"|".join(parts)
+
+
+class TestFeatureIndex:
+    """One index serves every fit on its matrix; sharing it changes no bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(problem=tree_problems())
+    def test_shared_index_gives_the_same_fits(self, problem):
+        X, t, _, config = problem
+        config = replace(config, n_rounds=6)
+        index = boosting.feature_index(X)
+        columns, order = index.columns.copy(), index.order.copy()
+        for kind in (SQUARED, HUBER, GAMMA_WELSCH):
+            shared = fit_boosted(X, t, LossSpec(kind=kind), config, index=index)
+            alone = fit_boosted(X, t, LossSpec(kind=kind), config)
+            assert ensemble_bytes(shared) == ensemble_bytes(alone), kind
+        labels = (t > np.median(t)).astype(float)
+        assert (ensemble_bytes(fit_boosted_logistic(X, labels, config, index=index))
+                == ensemble_bytes(fit_boosted_logistic(X, labels, config)))
+        # No fit writes to the index it was given.
+        assert index.columns.tobytes() == columns.tobytes()
+        assert index.order.tobytes() == order.tobytes()
+
+    def test_index_holds_the_columns_and_their_order(self):
+        X = np.array([[3.0, 0.5], [1.0, 0.5], [2.0, -1.0]])
+        index = boosting.feature_index(X)
+        assert index.columns.flags.c_contiguous and index.columns.tolist() == X.T.tolist()
+        assert index.order.dtype == np.int32 and index.order.tolist() == [[1, 2, 0], [2, 0, 1]]
+
+    @pytest.mark.parametrize("built_from, message", [
+        (lambda X: X[:5], r"\(2, 5\) was built from a \(5, 2\) matrix, not the features' \(6, 2\)"),
+        (lambda X: X[:, :1], r"\(1, 6\) was built from a \(6, 1\) matrix, not the features' \(6, 2\)"),
+        (lambda X: X + 1.0, r"built from another \(6, 2\) matrix"),
+    ])
+    def test_index_of_another_matrix_rejected(self, built_from, message):
+        X = np.arange(12.0).reshape(6, 2)
+        index = boosting.feature_index(built_from(X))
+        with pytest.raises(BoostingError, match=message):
+            fit_boosted(X, np.arange(6.0), LossSpec(kind=SQUARED), BoostConfig(n_rounds=1),
+                        index=index)
+        with pytest.raises(BoostingError, match=message):
+            fit_boosted_logistic(X, np.arange(6.0) % 2, BoostConfig(n_rounds=1), index=index)
+
+    def test_index_parts_of_different_shapes_rejected(self):
+        with pytest.raises(BoostingError, match=r"\(2, 6\) and order of shape \(2, 5\)"):
+            boosting.FeatureIndex(columns=np.zeros((2, 6)), order=np.zeros((2, 5), np.int32))
+        with pytest.raises(BoostingError, match="not a matrix"):
+            boosting.feature_index(np.arange(6.0))
+
+    def test_order_error_names_both_shapes(self):
+        X = np.arange(12.0).reshape(6, 2)
+        with pytest.raises(BoostingError, match=r"\(5, 2\), but features of shape \(6, 2\) "
+                                                r"need \(2, 6\)"):
+            fit_tree(X, np.arange(6.0), np.ones(6), BoostConfig(),
+                     order=boosting._feature_order(X[:5]).T)
+
+    def test_offsets_do_not_wrap_past_int32(self):
+        # Rows of columns 1 and 2 of a (3, 2**31) matrix: int32 arithmetic would wrap.
+        n = 2 ** 31
+        o = np.array([[n - 1, 0], [5, n - 1]], dtype=np.int32)
+        got = boosting._offsets(o, 1, n)
+        assert got.dtype == np.intp
+        assert got.tolist() == [[2 * n - 1, n], [2 * n + 5, 3 * n - 1]]
 
 
 def reference_predict(tree, X):

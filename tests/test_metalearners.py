@@ -1,8 +1,10 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from rxlearner import boosting
 from rxlearner.boosting import BoostConfig, BoostedEnsemble
 from rxlearner.datasets import CausalDataset, ContaminationSpec, ScenarioSpec, generate_synthetic
 from rxlearner.losses import GAMMA_WELSCH, SQUARED, LossSpec
@@ -321,3 +323,52 @@ class TestBundleIO:
     def test_missing_bundle(self, tmp_path):
         with pytest.raises(MetaLearnerError):
             load_meta(tmp_path / "nope")
+
+
+SHARED_INDEX_SPECS = {
+    "t": t_spec, "mse_x": mse_x_spec, "rx": rx_spec, "dr_clipped": dr_clipped_spec,
+    "winsorized_x": winsorized_x_spec,
+    "rx_fitted_propensity": lambda boost_config: replace(rx_spec(boost_config=boost_config),
+                                                         propensity="fitted"),
+}
+# Fits on one matrix each: stage 1 (2), then stage 3 (2) or dr's final model
+# (1), plus the propensity when it is fitted.
+FITS = {"t": 2, "mse_x": 4, "rx": 4, "dr_clipped": 3, "winsorized_x": 4, "rx_fitted_propensity": 5}
+
+
+class TestSharedFeatureIndex:
+    """fit_meta sorts each matrix once and shares its index between fits; that
+    must predict exactly what an index built for every fit predicts."""
+
+    @pytest.mark.parametrize("learner", sorted(SHARED_INDEX_SPECS))
+    def test_predictions_match_an_index_per_fit(self, invariant_data, learner):
+        spec = SHARED_INDEX_SPECS[learner](boost_config=BoostConfig(n_rounds=20))
+        shared = predict_cate(fit_meta(invariant_data, spec), invariant_data.features)
+        built = []
+
+        def index_per_fit(X, index):
+            built.append(X.shape)
+            return boosting.feature_index(X)
+
+        with mock.patch.object(boosting, "_index_for", index_per_fit):
+            rebuilt = predict_cate(fit_meta(invariant_data, spec), invariant_data.features)
+        assert len(built) == FITS[learner]
+        assert shared.tobytes() == rebuilt.tobytes()
+
+
+class TestCompileOnce:
+    def test_each_part_compiles_once(self, tmp_path):
+        data = balanced_dataset(n=200, seed=8)
+        spec = replace(mse_x_spec(boost_config=BoostConfig(n_rounds=20)), propensity="fitted")
+        with mock.patch.object(boosting, "_compile", wraps=boosting._compile) as compile_:
+            model = fit_meta(data, spec)  # imputation and arm variances predict with four parts
+            want = predict_cate(model, data.features)
+            assert predict_cate(model, data.features).tobytes() == want.tobytes()
+        assert compile_.call_count == 5  # mu0, mu1, tau0, tau1, propensity_model: on first use
+        save_meta(model, tmp_path / "bundle")
+        with mock.patch.object(boosting, "_compile", wraps=boosting._compile) as compile_:
+            loaded = load_meta(tmp_path / "bundle")
+            first = predict_cate(loaded, data.features)
+            second = predict_cate(loaded, data.features)
+        assert compile_.call_count == 5  # by load_meta's check, kept for every predict
+        assert first.tobytes() == second.tobytes() == want.tobytes()
