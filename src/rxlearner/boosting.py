@@ -1,9 +1,12 @@
 """Weighted regression trees and MM-based gradient boosting.
 
-The boosting loop enforces the monotone-descent guarantee of the MM scheme:
-each round's residuals define Welsch weights (the Proxy Hessian), a tree is
-fit by weighted least squares, and the proposed step is accepted only if the
-training loss does not increase, backtracking the step size otherwise.
+One boosting loop, :func:`fit_boosted`, fits every model, the propensity
+included. It enforces the monotone-descent guarantee of the MM scheme: each
+round's working response and instance weights (the Proxy Hessian: Welsch
+weights for the robust loss) come from :mod:`rxlearner.losses`, a tree is fit
+by weighted least squares, and the proposed step is accepted only if the
+training loss does not increase, backtracking the step size otherwise. The
+loop reads the loss kind only to check that logistic labels are 0 or 1.
 
 Trees are grown by the exact presorted split search (the sorted column blocks
 of XGBoost, Chen & Guestrin, KDD 2016, section 4.1). A :class:`FeatureIndex`
@@ -32,18 +35,11 @@ gather the same leaf values and add the trees in the same order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace, asdict
+from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .losses import (
-    SQUARED,
-    WEIGHT_FLOOR,
-    LossSpec,
-    gradient_and_weight,
-    loss_value,
-    mad_scale,
-)
+from .losses import LOGISTIC, WEIGHT_FLOOR, LossSpec, _objective, _start, _working_response
 
 MODEL_FORMAT_VERSION = 1
 
@@ -436,11 +432,13 @@ def fit_boosted(features, targets, loss: LossSpec, config: BoostConfig, *,
                 index: FeatureIndex | None = None) -> BoostedEnsemble:
     """MM gradient boosting with a step-halving monotonicity safeguard.
 
-    Robust losses initialize at the target median and anchor sigma-hat via
-    MAD of the initial residuals; squared error uses the mean. A proposed
+    The loss gives the start value and spec, each round's tree target and
+    weight, and the training loss (see :mod:`rxlearner.losses`). A proposed
     step F + eta*h is accepted only if the training loss does not increase;
     otherwise eta is halved up to MAX_HALVINGS times and the loop stops if
     descent still fails (further rounds would propose the identical tree).
+    Logistic labels must be 0 or 1; their steps never halve, as the log-loss
+    Hessian is at most 1/4 and each leaf value is the mean of its z - p.
 
     ``index`` is the :class:`FeatureIndex` of ``features``, so that fits on
     one matrix sort it once; it is built here when omitted. An index built
@@ -454,43 +452,34 @@ def fit_boosted(features, targets, loss: LossSpec, config: BoostConfig, *,
         raise BoostingError("targets must be nonempty")
     if not np.all(np.isfinite(y)):
         raise BoostingError("targets contain non-finite values")
+    if loss.kind == LOGISTIC and not np.all(np.isin(y, (0.0, 1.0))):
+        raise BoostingError("labels must be binary")
     if X.ndim != 2 or X.shape[0] != y.size:
         raise BoostingError("features and targets must have matching lengths")
     if not np.all(np.isfinite(X)):
         raise BoostingError("features contain non-finite values")
 
-    if loss.kind == SQUARED:
-        f0 = float(np.mean(y))
-        spec = loss
-    else:
-        f0 = float(np.median(y))
-        spec = replace(loss, scale=mad_scale(y - f0))
-
+    f0, spec = _start(y, loss)
     F = np.full(y.size, f0)
-    r = y - F
-    cur = loss_value(r, spec)
+    cur = _objective(y, F, spec)
     trees, steps, trace = [], [], []
 
     index = _index_for(X, index)
     leaves = np.empty(y.size, dtype=np.int64)
     for _ in range(config.n_rounds):
-        _, w = gradient_and_weight(r, spec)
-        tree = fit_tree(index.columns.T, r, w, config, order=index.order, leaves=leaves)
+        target, w = _working_response(y, F, spec)
+        tree = fit_tree(index.columns.T, target, w, config, order=index.order, leaves=leaves)
         h = tree.value[leaves]
         eta = config.learning_rate
-        accepted = False
         for _ in range(MAX_HALVINGS + 1):
-            r_new = y - (F + eta * h)
-            new = loss_value(r_new, spec)
+            F_new = F + eta * h
+            new = _objective(y, F_new, spec)
             if new <= cur + DESCENT_RTOL * abs(cur):
-                accepted = True
                 break
             eta *= 0.5
-        if not accepted:
+        else:  # no step size descended
             break
-        F = F + eta * h
-        r = y - F
-        cur = new
+        F, cur = F_new, new
         trees.append(tree)
         steps.append(eta)
         trace.append(new)
@@ -508,40 +497,8 @@ def fit_boosted(features, targets, loss: LossSpec, config: BoostConfig, *,
 
 def fit_boosted_logistic(features, labels, config: BoostConfig, *,
                          index: FeatureIndex | None = None) -> BoostedEnsemble:
-    """Log-odds boosting for binary labels with squared-error trees on
-    log-loss gradient residuals. Used for propensity estimation.
-
-    ``index`` is taken as in :func:`fit_boosted`.
-    """
-    X = np.asarray(features, dtype=float)
-    z = np.asarray(labels, dtype=float)
-    if not np.all(np.isin(z, (0.0, 1.0))):
-        raise BoostingError("labels must be binary")
-    p0 = float(np.clip(np.mean(z), 1e-6, 1 - 1e-6))
-    f0 = float(np.log(p0 / (1 - p0)))
-    F = np.full(z.size, f0)
-    trees, steps, trace = [], [], []
-    index = _index_for(X, index)
-    leaves = np.empty(z.size, dtype=np.int64)
-    for _ in range(config.n_rounds):
-        p = 1.0 / (1.0 + np.exp(-F))
-        resid = z - p
-        tree = fit_tree(index.columns.T, resid, np.ones_like(resid), config, order=index.order,
-                        leaves=leaves)
-        F = F + config.learning_rate * tree.value[leaves]
-        trees.append(tree)
-        steps.append(config.learning_rate)
-        p = np.clip(1.0 / (1.0 + np.exp(-F)), 1e-12, 1 - 1e-12)
-        trace.append(float(-np.sum(z * np.log(p) + (1 - z) * np.log(1 - p))))
-    return BoostedEnsemble(
-        base_prediction=f0,
-        trees=trees,
-        step_sizes=steps,
-        loss_spec=LossSpec(kind=SQUARED),
-        loss_trace=np.asarray(trace),
-        config=config,
-        n_features=X.shape[1],
-    )
+    """:func:`fit_boosted` with the logistic loss: log-odds of 0/1 labels."""
+    return fit_boosted(features, labels, LossSpec(kind=LOGISTIC), config, index=index)
 
 
 def predict_proba(model: BoostedEnsemble, features, clip: float = 0.01) -> np.ndarray:

@@ -15,13 +15,12 @@ from .boosting import (
     BoostedEnsemble,
     feature_index,
     fit_boosted,
-    fit_boosted_logistic,
     load_model,
     predict_proba,
     save_model,
 )
 from .datasets import CausalDataset, winsorize_outcomes
-from .losses import GAMMA_WELSCH, SQUARED, HUBER, LossSpec, mad_scale
+from .losses import GAMMA_WELSCH, SQUARED, HUBER, LOGISTIC, LossSpec, mad_scale
 
 KIND_T = "t"
 KIND_X = "x"
@@ -74,6 +73,8 @@ class MetaLearnerSpec:
     def __post_init__(self):
         if self.kind not in LEARNER_KINDS:
             raise MetaLearnerError(f"unknown learner kind {self.kind!r}")
+        if self.loss.kind == LOGISTIC:
+            raise MetaLearnerError(f"the {LOGISTIC!r} loss fits propensities, not outcome models")
         if self.kind == KIND_RX and self.loss.kind != GAMMA_WELSCH:
             raise MetaLearnerError("rx learner requires the gamma_welsch loss")
         if self.propensity not in (PROPENSITY_KNOWN, PROPENSITY_FITTED):
@@ -170,8 +171,8 @@ def fit_propensity(data: CausalDataset, spec: MetaLearnerSpec, *, index=None):
         if data.true_propensity is not None:
             return float(data.true_propensity), None
         return float(np.mean(data.treatment)), None
-    model = fit_boosted_logistic(data.features, data.treatment.astype(float), spec.boost_config,
-                                 index=index)
+    model = fit_boosted(data.features, data.treatment.astype(float), LossSpec(kind=LOGISTIC),
+                        spec.boost_config, index=index)
     return None, model
 
 

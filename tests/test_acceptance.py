@@ -5,12 +5,15 @@ and take tens of minutes combined on one core; the analytic criteria (1-4, 10)
 finish in seconds.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from rxlearner import evaluation
 from rxlearner.boosting import BoostConfig, fit_boosted, fit_tree
 from rxlearner.config import load_config, preset_path
-from rxlearner.datasets import generate_surrogate_covariates
+from rxlearner.datasets import ScenarioSpec, generate_surrogate_covariates
 from rxlearner.evaluation import (
     ate_bias,
     contamination_sweep,
@@ -35,7 +38,10 @@ from rxlearner.metalearners import (
     AggregationScheme,
     FittedCate,
     aggregation_weights,
+    fit_meta,
+    mse_x_spec,
     predict_cate,
+    rx_spec,
 )
 from rxlearner.boosting import BoostedEnsemble
 
@@ -250,3 +256,29 @@ def test_criterion_10_metric_and_aggregation_unit_suite(capsys):
     _verdict(capsys, 10, "metric and aggregation unit suite",
              [(not failed, f"{n_ok}/{len(checks)} exact examples hold"
                + (f"; failed: {failed}" if failed else ""))])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_whale_influence_redescends_at_small_n(seed):
+    """Criterion 6's single-whale study at n=300 and 30 rounds, under a second
+    per seed. Past a few sigma-hat the Welsch weight of the whale vanishes, so
+    rx's control-group shift stays put from magnitude 100 to 1000 while mse_x's
+    grows about tenfold. The whale still moves rx's trees slightly (its floored
+    weight can shift a split), so only the shift and the anchor are compared."""
+    fits = []
+
+    def recording_fit_meta(data, spec):
+        fits.append((spec.kind, fit_meta(data, spec)))
+        return fits[-1][1]
+
+    config = BoostConfig(n_rounds=30)
+    learners = {"rx": rx_spec(boost_config=config), "mse_x": mse_x_spec(boost_config=config)}
+    with mock.patch.object(evaluation, "fit_meta", recording_fit_meta):
+        report = evaluation.smearing_study(ScenarioSpec(n=300, treated_fraction=0.1, seed=seed),
+                                           [0, 100, 1000], learners)
+    s = report.shifts
+    assert abs(s["rx"][1000.0] - s["rx"][100.0]) < 0.01
+    assert 5.0 <= s["mse_x"][1000.0] / s["mse_x"][100.0] <= 15.0
+    # fits run baseline, then magnitude 100, then 1000, each rx before mse_x
+    rx_scales = [model.mu1.loss_spec.scale for kind, model in fits if kind == "rx"]
+    assert len(rx_scales) == 3 and rx_scales[1] == rx_scales[2]

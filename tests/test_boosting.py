@@ -19,7 +19,15 @@ from rxlearner.boosting import (
     save_model,
 )
 from rxlearner.datasets import generate_1d_qualitative
-from rxlearner.losses import GAMMA_WELSCH, HUBER, SQUARED, WEIGHT_FLOOR, LossSpec, loss_value
+from rxlearner.losses import (
+    GAMMA_WELSCH,
+    HUBER,
+    LOGISTIC,
+    SQUARED,
+    WEIGHT_FLOOR,
+    LossSpec,
+    loss_value,
+)
 
 LOOSE = BoostConfig(min_samples_leaf=1, min_child_weight=0.0)
 
@@ -762,3 +770,58 @@ class TestLogisticBoosting:
     def test_rejects_non_binary_labels(self):
         with pytest.raises(BoostingError):
             fit_boosted_logistic(np.ones((3, 1)), np.array([0.0, 0.5, 1.0]), BoostConfig())
+
+
+def reference_fit_logistic(X, z, config):
+    """The propensity fit's own loop from before it became fit_boosted's logistic
+    loss, kept as the bit-for-bit reference: Friedman's log-odds boosting, a full
+    step every round and no descent check."""
+    p0 = float(np.clip(np.mean(z), 1e-6, 1 - 1e-6))
+    f0 = float(np.log(p0 / (1 - p0)))
+    F = np.full(z.size, f0)
+    trees, steps, trace = [], [], []
+    index = boosting.feature_index(X)
+    leaves = np.empty(z.size, dtype=np.int64)
+    for _ in range(config.n_rounds):
+        p = 1.0 / (1.0 + np.exp(-F))
+        resid = z - p
+        tree = fit_tree(index.columns.T, resid, np.ones_like(resid), config, order=index.order,
+                        leaves=leaves)
+        F = F + config.learning_rate * tree.value[leaves]
+        trees.append(tree)
+        steps.append(config.learning_rate)
+        p = np.clip(1.0 / (1.0 + np.exp(-F)), 1e-12, 1 - 1e-12)
+        trace.append(float(-np.sum(z * np.log(p) + (1 - z) * np.log(1 - p))))
+    return BoostedEnsemble(base_prediction=f0, trees=trees, step_sizes=steps,
+                           loss_spec=LossSpec(kind=LOGISTIC), loss_trace=np.asarray(trace),
+                           config=config, n_features=X.shape[1])
+
+
+class TestLogisticLoss:
+    """The propensity fit is fit_boosted with the logistic loss: its inputs are
+    checked like any fit's, and it fits what its own loop used to, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=tree_problems(), n_rounds=st.integers(0, 25),
+           learning_rate=st.sampled_from([0.1, 0.3, 1.0]), cut=st.sampled_from([-np.inf, 0.0, 0.5]))
+    def test_equals_the_reference_loop(self, problem, n_rounds, learning_rate, cut):
+        X, t, _, config = problem
+        config = replace(config, n_rounds=n_rounds, learning_rate=learning_rate)
+        # cut -inf gives all-ones labels; 0.5 splits at the median
+        labels = (t > (np.quantile(t, cut) if np.isfinite(cut) else cut)).astype(float)
+        model = fit_boosted_logistic(X, labels, config)
+        assert ensemble_bytes(model) == ensemble_bytes(reference_fit_logistic(X, labels, config))
+        # Non-increasing up to the loop's rounding slack: at the optimum a leaf
+        # value of 1e-17 can raise the log-loss by one ulp.
+        trace = model.loss_trace
+        assert np.all(trace[1:] <= trace[:-1] + boosting.DESCENT_RTOL * np.abs(trace[:-1]))
+
+    def test_non_finite_features_rejected(self):
+        X = np.random.default_rng(0).normal(size=(50, 2))
+        X[17, 1] = np.nan
+        with pytest.raises(BoostingError, match="features contain non-finite values"):
+            fit_boosted_logistic(X, np.arange(50.0) % 2, BoostConfig(n_rounds=3))
+
+    def test_row_count_mismatch_rejected(self):
+        with pytest.raises(BoostingError, match="matching lengths"):
+            fit_boosted_logistic(np.ones((40, 2)), np.arange(50.0) % 2, BoostConfig(n_rounds=0))

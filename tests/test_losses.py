@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,6 +169,35 @@ class TestGradientAndWeight:
                 fd = (gamma_loss([r - h], spec) - gamma_loss([r + h], spec)) / (2 * h)
                 g, _ = gradient_and_weight(np.array(r), spec)
                 assert abs(g - fd) / max(abs(fd), 1e-12) < 1e-6
+
+
+class TestHuberWeight:
+    """min(1, delta/|r|), computed only where |r| > delta, so no residual overflows it."""
+
+    SPEC = LossSpec(kind=HUBER, delta_multiplier=1.345, scale=1.0)
+
+    @staticmethod
+    def unguarded(r, d):
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.where(np.abs(r) > 0, np.minimum(1.0, d / np.abs(r)), 1.0)
+
+    def test_subnormal_and_extreme_residuals_warn_nothing(self):
+        d = self.SPEC.huber_delta
+        r = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, d, -d, np.nextafter(d, 0),
+                      np.nextafter(d, np.inf), 10.0, -1e308, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g, w = gradient_and_weight(r, self.SPEC)
+            _, w0 = gradient_and_weight(np.array(5e-324), self.SPEC)
+        assert w.tobytes() == self.unguarded(r, d).tobytes()
+        assert g.tobytes() == (-np.clip(r, -d, d)).tobytes()
+        assert w0.shape == () and w0 == 1.0
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=30))
+    def test_same_weights_as_the_unguarded_division(self, residuals):
+        r = np.asarray(residuals)
+        _, w = gradient_and_weight(r, self.SPEC)
+        assert w.tobytes() == self.unguarded(r, self.SPEC.huber_delta).tobytes()
 
 
 class TestQuadraticMajorizer:

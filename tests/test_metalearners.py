@@ -7,7 +7,7 @@ import pytest
 from rxlearner import boosting
 from rxlearner.boosting import BoostConfig, BoostedEnsemble
 from rxlearner.datasets import CausalDataset, ContaminationSpec, ScenarioSpec, generate_synthetic
-from rxlearner.losses import GAMMA_WELSCH, SQUARED, LossSpec
+from rxlearner.losses import GAMMA_WELSCH, LOGISTIC, SQUARED, LossSpec
 from rxlearner.metalearners import (
     AggregationScheme,
     FittedCate,
@@ -54,6 +54,12 @@ class TestSpecs:
         assert winsorized_x_spec().kind == "winsorized_x"
         assert dr_clipped_spec().kind == "dr_clipped"
         assert t_spec().kind == "t"
+
+    @pytest.mark.parametrize("kind", ["t", "x", "rx", "dr_clipped", "winsorized_x"])
+    def test_logistic_loss_rejected_for_outcome_models(self, kind):
+        # The logistic loss is the propensity fit's; config cannot name a loss kind.
+        with pytest.raises(MetaLearnerError, match="'logistic' loss fits propensities"):
+            MetaLearnerSpec(kind=kind, loss=LossSpec(kind=LOGISTIC))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(MetaLearnerError):
@@ -319,6 +325,24 @@ class TestBundleIO:
         manifest.write_text(json.dumps(doc))
         with pytest.raises(MetaLearnerError, match="version"):
             load_meta(tmp_path / "bundle")
+
+    def test_propensity_saved_as_squared_loads_the_same(self, tmp_path):
+        import json
+        data = balanced_dataset(n=200, seed=9)
+        spec = replace(mse_x_spec(boost_config=BoostConfig(n_rounds=20)), propensity="fitted")
+        model = fit_meta(data, spec)
+        save_meta(model, tmp_path / "bundle")
+        path = tmp_path / "bundle" / "propensity_model.json"
+        doc = json.loads(path.read_text())
+        assert doc["loss_spec"]["kind"] == LOGISTIC  # the loss it was fit with
+        doc["loss_spec"]["kind"] = SQUARED  # what bundles saved before the logistic kind
+        path.write_text(json.dumps(doc))
+        back = load_meta(tmp_path / "bundle")
+        assert back.propensity_model.loss_spec.kind == SQUARED
+        assert (back.propensity_at(data.features).tobytes()
+                == model.propensity_at(data.features).tobytes())
+        assert (predict_cate(back, data.features).tobytes()
+                == predict_cate(model, data.features).tobytes())
 
     def test_missing_bundle(self, tmp_path):
         with pytest.raises(MetaLearnerError):
