@@ -10,11 +10,12 @@ loop reads the loss kind only to check that logistic labels are 0 or 1.
 
 Trees are grown by the exact presorted split search (the sorted column blocks
 of XGBoost, Chen & Guestrin, KDD 2016, section 4.1). A :class:`FeatureIndex`
-holds a matrix sorted once per feature and a column-major copy of it; every
-tree fit on that matrix reuses it, and so does every fit that shares it. A node
-keeps, per feature, its rows in that feature's order, reads their values,
-targets and weights with ``take`` gathers, and scores all cut points of a
-block of features from prefix sums in :func:`_best_splits`. The trees are the
+is a matrix, held as a column-major copy, together with its sort by every
+feature. It is passed wherever features are, so the matrix and its sort travel
+as one object, and every fit passed one index reuses its sort. A node keeps,
+per feature, its rows in that feature's order, reads their values, targets and
+weights with ``take`` gathers, and scores all cut points of a block of
+features from prefix sums in :func:`_best_splits`. The trees are the
 same bit for bit as sorting each node's rows stably: the prefix sums add the
 same values in the same order, and every gain is computed by the same
 sequence of operations.
@@ -48,6 +49,9 @@ DESCENT_RTOL = 1e-12
 
 #: Maximum step-size halvings before a round is abandoned.
 MAX_HALVINGS = 8
+
+#: :func:`predict_proba` clips propensities to [PROPENSITY_CLIP, 1 - PROPENSITY_CLIP].
+PROPENSITY_CLIP = 0.01
 
 #: Cells (features x rows) one batched split search takes at a node. Small
 #: nodes search all their features in one call, which is where the time goes
@@ -262,14 +266,15 @@ def _feature_order(X: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FeatureIndex:
-    """The presorted split-search index of one (n, d) feature matrix.
+    """An (n, d) feature matrix together with its presorted split-search index.
 
     ``columns`` is the matrix in column-major layout: a C-contiguous (d, n)
     copy whose row j is feature j, so a node reads one feature's values from
     one contiguous column. ``order`` is the (d, n) int32 argsort of
-    :func:`_feature_order`. Together they take 12 bytes per cell. The matrix
-    does not change within a fit, nor between the fits a meta-learner makes on
-    one arm, so it is sorted once and every tree of those fits reuses it.
+    :func:`_feature_order`. Together they take 12 bytes per cell. An index is
+    itself a valid ``features`` argument: numpy reads it as the matrix it
+    indexes, and :func:`fit_tree` and :func:`fit_boosted` reuse its sort. A
+    meta-learner fits one arm's matrix several times, so it sorts it once.
     """
 
     columns: np.ndarray
@@ -279,6 +284,18 @@ class FeatureIndex:
         if self.columns.ndim != 2 or self.order.shape != self.columns.shape:
             raise BoostingError(f"feature index columns of shape {self.columns.shape} "
                                 f"and order of shape {self.order.shape} do not match")
+
+    def __array__(self, dtype=None, copy=None):
+        """The indexed (n, d) matrix: the Fortran-ordered view ``columns.T``.
+
+        It is copied only for ``copy=True`` or another dtype; a copy that
+        ``copy=False`` forbids raises ValueError, as numpy 2 asks.
+        """
+        matrix = self.columns.T
+        dtype = matrix.dtype if dtype is None else np.dtype(dtype)
+        if copy is False and dtype != matrix.dtype:
+            raise ValueError(f"reading the {matrix.dtype} feature index as {dtype} needs a copy")
+        return matrix.astype(dtype, copy=bool(copy))
 
 
 def feature_index(features) -> FeatureIndex:
@@ -290,19 +307,7 @@ def feature_index(features) -> FeatureIndex:
     return FeatureIndex(columns=columns, order=_feature_order(columns.T))
 
 
-def _index_for(X: np.ndarray, index) -> FeatureIndex:
-    """``index`` if it was built from X, or X's own index when it is None."""
-    if index is None:
-        return feature_index(X)
-    if index.columns.shape != X.shape[::-1]:
-        raise BoostingError(f"feature index of shape {index.columns.shape} was built from a "
-                            f"{index.columns.shape[::-1]} matrix, not the features' {X.shape}")
-    if not np.array_equal(index.columns.T, X):
-        raise BoostingError(f"feature index was built from another {X.shape} matrix")
-    return index
-
-
-def fit_tree(X, targets, instance_weights, config: BoostConfig, *, order=None,
+def fit_tree(X, targets, instance_weights, config: BoostConfig, *,
              leaves=None) -> RegressionTree:
     """Greedy top-down weighted CART; each split maximizes weighted-SSE reduction.
 
@@ -310,36 +315,30 @@ def fit_tree(X, targets, instance_weights, config: BoostConfig, *, order=None,
     least-squares minimizer, i.e. the MM inner step). Split ties resolve to
     the lowest feature index, then the lowest threshold.
 
-    ``order`` is the (d, n) argsort of :func:`_feature_order` for X; it is
-    built here when omitted. Each node splits its per-feature sorted row lists
-    stably instead of sorting again (the exact presorted method), so every
-    prefix sum adds in the same order as a per-node stable sort would. A node
-    searches its features in blocks of up to ``SEARCH_CELLS`` cells with one
+    X is a feature matrix or its :class:`FeatureIndex`; a matrix is indexed
+    here. Each node splits its per-feature sorted row lists stably instead of
+    sorting again (the exact presorted method), so every prefix sum adds in
+    the same order as a per-node stable sort would. A node searches its
+    features in blocks of up to ``SEARCH_CELLS`` cells with one
     :func:`_best_splits` call per block. The block's feature values come from
-    one flat ``take`` on the column-major copy of X at the intp offsets of
-    :func:`_offsets`, its targets and weights from ``take`` by row number. The
-    copy is a view when X is Fortran-ordered, as ``FeatureIndex.columns.T`` is.
+    one flat ``take`` on the index's column-major copy at the intp offsets of
+    :func:`_offsets`, its targets and weights from ``take`` by row number.
 
     ``leaves``, if given, is a length-n integer array that receives each
     training row's leaf node, so ``tree.value[leaves]`` equals
     ``tree.predict(X)`` bit for bit without routing the rows again.
     """
-    X = np.asarray(X, dtype=float)
+    index = X if isinstance(X, FeatureIndex) else feature_index(X)
+    columns, order = index.columns, index.order
+    d, n = columns.shape
     t = np.asarray(targets, dtype=float)
     w = np.asarray(instance_weights, dtype=float)
-    if X.ndim != 2 or t.shape != (X.shape[0],) or w.shape != t.shape:
+    if t.shape != (n,) or w.shape != t.shape:
         raise BoostingError("features, targets, and weights must have matching lengths")
     if np.any(w < 0) or not np.any(w > 0):
         raise BoostingError("weights must be nonnegative with at least one positive")
     w = np.maximum(w, WEIGHT_FLOOR)
-    n, d = X.shape
-    columns = np.ascontiguousarray(X.T)  # a view when X is Fortran-ordered
     flat = columns.reshape(-1)
-    if order is None:
-        order = _feature_order(columns.T)
-    elif np.shape(order) != (d, n):
-        raise BoostingError(f"feature order has shape {np.shape(order)}, but features of "
-                            f"shape {(n, d)} need {(d, n)}")
     if leaves is not None and np.shape(leaves) != (n,):
         raise BoostingError(f"leaf array has shape {np.shape(leaves)}, expected {(n,)}")
     in_left = np.zeros(n, dtype=bool)  # reused: each split writes, then reads, its own rows
@@ -428,8 +427,7 @@ class BoostedEnsemble:
         return out
 
 
-def fit_boosted(features, targets, loss: LossSpec, config: BoostConfig, *,
-                index: FeatureIndex | None = None) -> BoostedEnsemble:
+def fit_boosted(features, targets, loss: LossSpec, config: BoostConfig) -> BoostedEnsemble:
     """MM gradient boosting with a step-halving monotonicity safeguard.
 
     The loss gives the start value and spec, each round's tree target and
@@ -440,13 +438,10 @@ def fit_boosted(features, targets, loss: LossSpec, config: BoostConfig, *,
     Logistic labels must be 0 or 1; their steps never halve, as the log-loss
     Hessian is at most 1/4 and each leaf value is the mean of its z - p.
 
-    ``index`` is the :class:`FeatureIndex` of ``features``, so that fits on
-    one matrix sort it once; it is built here when omitted. An index built
-    from another matrix raises BoostingError. Every round's tree is fit on the
-    index's column-major copy with its presorted order, so sharing an index
-    changes no bit of the ensemble.
+    ``features`` is a matrix or its :class:`FeatureIndex`, so that fits on one
+    matrix can sort it once; a matrix is indexed here. Every round's tree is
+    fit on the index, so sharing one changes no bit of the ensemble.
     """
-    X = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
     if y.size == 0:
         raise BoostingError("targets must be nonempty")
@@ -454,9 +449,11 @@ def fit_boosted(features, targets, loss: LossSpec, config: BoostConfig, *,
         raise BoostingError("targets contain non-finite values")
     if loss.kind == LOGISTIC and not np.all(np.isin(y, (0.0, 1.0))):
         raise BoostingError("labels must be binary")
-    if X.ndim != 2 or X.shape[0] != y.size:
+    index = features if isinstance(features, FeatureIndex) else feature_index(features)
+    d, n = index.columns.shape
+    if n != y.size:
         raise BoostingError("features and targets must have matching lengths")
-    if not np.all(np.isfinite(X)):
+    if not np.all(np.isfinite(index.columns)):
         raise BoostingError("features contain non-finite values")
 
     f0, spec = _start(y, loss)
@@ -464,11 +461,10 @@ def fit_boosted(features, targets, loss: LossSpec, config: BoostConfig, *,
     cur = _objective(y, F, spec)
     trees, steps, trace = [], [], []
 
-    index = _index_for(X, index)
     leaves = np.empty(y.size, dtype=np.int64)
     for _ in range(config.n_rounds):
         target, w = _working_response(y, F, spec)
-        tree = fit_tree(index.columns.T, target, w, config, order=index.order, leaves=leaves)
+        tree = fit_tree(index, target, w, config, leaves=leaves)
         h = tree.value[leaves]
         eta = config.learning_rate
         for _ in range(MAX_HALVINGS + 1):
@@ -491,20 +487,14 @@ def fit_boosted(features, targets, loss: LossSpec, config: BoostConfig, *,
         loss_spec=spec,
         loss_trace=np.asarray(trace),
         config=config,
-        n_features=X.shape[1],
+        n_features=d,
     )
 
 
-def fit_boosted_logistic(features, labels, config: BoostConfig, *,
-                         index: FeatureIndex | None = None) -> BoostedEnsemble:
-    """:func:`fit_boosted` with the logistic loss: log-odds of 0/1 labels."""
-    return fit_boosted(features, labels, LossSpec(kind=LOGISTIC), config, index=index)
-
-
-def predict_proba(model: BoostedEnsemble, features, clip: float = 0.01) -> np.ndarray:
-    """Sigmoid of the boosted log-odds, clipped away from 0 and 1."""
+def predict_proba(model: BoostedEnsemble, features) -> np.ndarray:
+    """Sigmoid of the boosted log-odds, clipped to [PROPENSITY_CLIP, 1 - PROPENSITY_CLIP]."""
     logits = model.predict(features)
-    return np.clip(1.0 / (1.0 + np.exp(-logits)), clip, 1.0 - clip)
+    return np.clip(1.0 / (1.0 + np.exp(-logits)), PROPENSITY_CLIP, 1.0 - PROPENSITY_CLIP)
 
 
 def save_model(model: BoostedEnsemble, path) -> None:

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .boosting import BoostConfig, BoostingError, feature_index, fit_boosted
+from .boosting import BoostConfig, BoostingError, fit_boosted
 from .config import ConfigError, RunConfig, list_presets, load_config, preset_path
 from .datasets import (
     DatasetError,
@@ -196,9 +196,8 @@ def cmd_curves(args) -> int:
     boost = next(iter(cfg.learners.values())).boost_config if cfg.learners else BoostConfig()
     treated = data.treated_idx
     Xt, yt = data.features[treated], data.outcome[treated]
-    index = feature_index(Xt)
-    model_mse = fit_boosted(Xt, yt, LossSpec(kind=SQUARED), boost, index=index)
-    model_rx = fit_boosted(Xt, yt, LossSpec(kind=GAMMA_WELSCH), boost, index=index)
+    model_mse = fit_boosted(Xt, yt, LossSpec(kind=SQUARED), boost)
+    model_rx = fit_boosted(Xt, yt, LossSpec(kind=GAMMA_WELSCH), boost)
     out = os.path.join(cfg.out_dir, "curves.csv")
     emit_curve_data(data, model_mse, model_rx, out)
     print(f"wrote {out} ({data.n_units} rows)")

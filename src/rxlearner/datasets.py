@@ -7,6 +7,7 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import csv
+import itertools
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -269,17 +270,12 @@ def generate_synthetic(spec: ScenarioSpec) -> CausalDataset:
     )
 
 
-def generate_1d_qualitative(
-    n: int,
-    outlier_count: int,
-    seed: int,
-    outlier_magnitude: float = 25.0,
-    noise_sd: float = 0.3,
-) -> CausalDataset:
+def generate_1d_qualitative(n: int, outlier_count: int, seed: int) -> CausalDataset:
     """1-D grid dataset with a constant effect and a cluster of whale outcomes.
 
-    Outliers are placed on treated units inside a narrow x-window so the
-    smear region of a non-robust fit is localized and identifiable.
+    The effect is 2, the noise N(0, 0.3^2), and each whale adds 25 to its
+    outcome. Outliers are placed on treated units inside a narrow x-window so
+    the smear region of a non-robust fit is localized and identifiable.
     """
     if n <= outlier_count:
         raise DatasetError("n must exceed outlier_count")
@@ -291,7 +287,7 @@ def generate_1d_qualitative(
     w = (np.arange(n) % 2).astype(np.int8)
     tau = np.full(n, 2.0)
     mu0 = np.sin(2.0 * np.pi * x)
-    y = mu0 + tau * w + rng.normal(0.0, noise_sd, size=n)
+    y = mu0 + tau * w + rng.normal(0.0, 0.3, size=n)
     mask = np.zeros(n, dtype=np.int8)
     if outlier_count > 0:
         candidates = np.flatnonzero((w == 1) & (x >= 0.6) & (x <= 0.8))
@@ -299,7 +295,7 @@ def generate_1d_qualitative(
             candidates = np.flatnonzero(w == 1)
         chosen = candidates[:outlier_count]
         y = y.copy()
-        y[chosen] += outlier_magnitude
+        y[chosen] += 25.0
         mask[chosen] = 1
     return CausalDataset(
         features=X, treatment=w, outcome=y, true_cate=tau, outlier_mask=mask,
@@ -505,6 +501,14 @@ def _first_bad_row(path, header) -> Optional[str]:
     return None
 
 
+def _line_of_row(path, k) -> int:
+    """File line of data row k (from 0) of a table; blank lines hold no row."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        return next(itertools.islice((reader.line_num for row in reader if row), k, None))
+
+
 def load_dataset_csv(path) -> CausalDataset:
     """Read a dataset CSV (see :func:`load_table_csv`); ``w`` and ``y`` are required."""
     X, named = load_table_csv(path)
@@ -514,6 +518,7 @@ def load_dataset_csv(path) -> CausalDataset:
     w = named["w"]
     bad = np.flatnonzero((w != 0.0) & (w != 1.0))
     if bad.size:
-        raise DatasetError(f"{path}: non-binary treatment at row {bad[0] + 2}: {float(w[bad[0]])!r}")
+        raise DatasetError(f"{path}: non-binary treatment at row {_line_of_row(path, bad[0])}: "
+                           f"{float(w[bad[0]])!r}")
     return CausalDataset(features=X, treatment=w, outcome=named["y"],
                          true_cate=named.get("tau_true"), outlier_mask=named.get("is_outlier"))

@@ -111,13 +111,12 @@ def evaluate_learners_on(
     data: CausalDataset,
     learners: Dict[str, MetaLearnerSpec],
     seed: int,
-    split_seed: Optional[int] = None,
 ) -> List[TrialRow]:
     """Fit every learner on the fit half and score on the eval half.
 
     A learner failure is recorded in its row, never fatal to the trial.
     """
-    fit_half, eval_half = stratified_split(data, seed if split_seed is None else split_seed)
+    fit_half, eval_half = stratified_split(data, seed)
     rows = []
     for name, spec in learners.items():
         row = TrialRow(seed=seed, learner=name)

@@ -102,8 +102,15 @@ def squared_loss(residuals) -> float:
     return float(0.5 * np.sum(r * r))
 
 
+def _no_residual_form(spec: LossSpec, name: str) -> None:
+    if spec.kind == LOGISTIC:
+        raise ValueError(f"{name} takes residuals, and the {LOGISTIC!r} loss has no residual "
+                         "form: it is fit on 0/1 labels (see fit_boosted)")
+
+
 def loss_value(residuals, spec: LossSpec) -> float:
-    """Training objective for any loss kind (sum over points)."""
+    """Training objective of a residual loss kind (sum over points)."""
+    _no_residual_form(spec, "loss_value")
     if spec.kind == SQUARED:
         return squared_loss(residuals)
     if spec.kind == HUBER:
@@ -119,6 +126,7 @@ def gradient_and_weight(r, spec: LossSpec):
     gradient is -w(r) * r with mm weight w(r); squared error gives (-r, 1);
     Huber clips the pull at delta with weight min(1, delta/|r|).
     """
+    _no_residual_form(spec, "gradient_and_weight")
     r = np.asarray(r, dtype=float)
     if spec.kind == SQUARED:
         return -r, np.ones_like(r)

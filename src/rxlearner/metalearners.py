@@ -11,6 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .boosting import (
+    PROPENSITY_CLIP,
     BoostConfig,
     BoostedEnsemble,
     feature_index,
@@ -37,7 +38,6 @@ AGG_KINDS = (AGG_PROPENSITY, AGG_INVERSE_VARIANCE, AGG_FIXED)
 PROPENSITY_KNOWN = "known"
 PROPENSITY_FITTED = "fitted"
 
-PROPENSITY_CLIP = 0.01
 VARIANCE_FLOOR = 1e-16
 
 MANIFEST_VERSION = 1
@@ -116,10 +116,9 @@ def dr_clipped_spec(boost_config: BoostConfig = BoostConfig()) -> MetaLearnerSpe
     )
 
 
-def t_spec(boost_config: BoostConfig = BoostConfig(),
-           loss: LossSpec = LossSpec(kind=SQUARED)) -> MetaLearnerSpec:
+def t_spec(boost_config: BoostConfig = BoostConfig()) -> MetaLearnerSpec:
     return MetaLearnerSpec(
-        kind=KIND_T, loss=loss,
+        kind=KIND_T, loss=LossSpec(kind=SQUARED),
         aggregation=AggregationScheme(AGG_FIXED, g=0.5), boost_config=boost_config,
     )
 
@@ -141,7 +140,7 @@ class FittedCate:
 
     def propensity_at(self, X) -> np.ndarray:
         if self.propensity_model is not None:
-            return predict_proba(self.propensity_model, X, clip=PROPENSITY_CLIP)
+            return predict_proba(self.propensity_model, X)
         if self.propensity_constant is None:
             raise MetaLearnerError("model has neither a propensity model nor a propensity constant")
         p = float(np.clip(self.propensity_constant, PROPENSITY_CLIP, 1 - PROPENSITY_CLIP))
@@ -159,11 +158,10 @@ def impute_pseudo_outcomes(mu0: BoostedEnsemble, mu1: BoostedEnsemble, data: Cau
     return d1, d0
 
 
-def fit_propensity(data: CausalDataset, spec: MetaLearnerSpec, *, index=None):
+def fit_propensity(data: CausalDataset, spec: MetaLearnerSpec):
     """Constant propensity (known randomization) or a boosted logistic fit.
 
-    Returns (constant, model); exactly one of the pair is set. ``index`` is the
-    feature index of ``data.features`` for the logistic fit (built when None).
+    Returns (constant, model); exactly one of the pair is set.
     """
     if spec.propensity == PROPENSITY_KNOWN:
         if spec.propensity_value is not None:
@@ -172,7 +170,7 @@ def fit_propensity(data: CausalDataset, spec: MetaLearnerSpec, *, index=None):
             return float(data.true_propensity), None
         return float(np.mean(data.treatment)), None
     model = fit_boosted(data.features, data.treatment.astype(float), LossSpec(kind=LOGISTIC),
-                        spec.boost_config, index=index)
+                        spec.boost_config)
     return None, model
 
 
@@ -197,9 +195,9 @@ def _check_arms(data: CausalDataset, config: BoostConfig):
 def fit_meta(data: CausalDataset, spec: MetaLearnerSpec) -> FittedCate:
     """Fit a meta-learner end to end on one dataset.
 
-    Each feature matrix is sorted once: stage 1 and stage 3 fit on the same
-    arm matrices, and the propensity and dr_clipped's final model on the full
-    one, so every fit on a matrix shares its :func:`feature_index`.
+    Each arm's matrix is sorted once: stage 1 and stage 3 fit on the same arm
+    matrices, so every fit on an arm is passed its :func:`feature_index`. The
+    propensity and dr_clipped's final model each fit the full matrix once.
     """
     cfg = spec.boost_config
     _check_arms(data, cfg)
@@ -208,17 +206,11 @@ def fit_meta(data: CausalDataset, spec: MetaLearnerSpec) -> FittedCate:
         data = winsorize_outcomes(data, 0.01, 0.99)
 
     treated, control = data.treated_idx, data.control_idx
-    # An arm's matrix is its index's column-major copy, so no row-major copy
-    # of the arm is kept beside it.
-    index_t, index_c = feature_index(data.features[treated]), feature_index(data.features[control])
-    Xt, Xc = index_t.columns.T, index_c.columns.T
-    mu0 = fit_boosted(Xc, data.outcome[control], spec.loss, cfg, index=index_c)
-    mu1 = fit_boosted(Xt, data.outcome[treated], spec.loss, cfg, index=index_t)
+    Xt, Xc = feature_index(data.features[treated]), feature_index(data.features[control])
+    mu0 = fit_boosted(Xc, data.outcome[control], spec.loss, cfg)
+    mu1 = fit_boosted(Xt, data.outcome[treated], spec.loss, cfg)
 
-    index_all = None
-    if spec.kind == KIND_DR or spec.propensity == PROPENSITY_FITTED:
-        index_all = feature_index(data.features)
-    p_const, p_model = fit_propensity(data, spec, index=index_all)
+    p_const, p_model = fit_propensity(data, spec)
     fitted = FittedCate(
         kind=spec.kind, mu0=mu0, mu1=mu1,
         propensity_constant=p_const, propensity_model=p_model,
@@ -234,12 +226,12 @@ def fit_meta(data: CausalDataset, spec: MetaLearnerSpec) -> FittedCate:
         m1, m0 = mu1.predict(data.features), mu0.predict(data.features)
         mu_w = np.where(w == 1, m1, m0)
         phi = m1 - m0 + (w - pi) / (pi * (1.0 - pi)) * (data.outcome - mu_w)
-        fitted.final_model = fit_boosted(data.features, phi, spec.loss, cfg, index=index_all)
+        fitted.final_model = fit_boosted(data.features, phi, spec.loss, cfg)
         return fitted
 
     d1, d0 = impute_pseudo_outcomes(mu0, mu1, data)
-    fitted.tau1 = fit_boosted(Xt, d1, spec.loss, cfg, index=index_t)
-    fitted.tau0 = fit_boosted(Xc, d0, spec.loss, cfg, index=index_c)
+    fitted.tau1 = fit_boosted(Xt, d1, spec.loss, cfg)
+    fitted.tau0 = fit_boosted(Xc, d0, spec.loss, cfg)
     fitted.arm_variance = (
         estimate_arm_variance(fitted.tau0, Xc, d0),
         estimate_arm_variance(fitted.tau1, Xt, d1),

@@ -12,7 +12,6 @@ from rxlearner.boosting import (
     BoostingError,
     RegressionTree,
     fit_boosted,
-    fit_boosted_logistic,
     fit_tree,
     load_model,
     predict_proba,
@@ -232,23 +231,18 @@ class TestPresortedSplitSearch:
             assert np.array_equal(a, b, equal_nan=True), name
 
     def test_given_order_matches_built_order(self):
-        from rxlearner.boosting import _feature_order
         rng = np.random.default_rng(8)
         X = np.round(rng.normal(size=(300, 4)), 1)
         t = rng.normal(size=300)
         w = rng.uniform(0.0, 2.0, size=300)
-        a = fit_tree(X, t, w, BoostConfig(max_depth=4))
-        b = fit_tree(X, t, w, BoostConfig(max_depth=4), order=_feature_order(X))
+        index = boosting.feature_index(X)
+        leaves, index_leaves = np.empty(300, np.int64), np.empty(300, np.int64)
+        a = fit_tree(X, t, w, BoostConfig(max_depth=4), leaves=leaves)
+        b = fit_tree(index, t, w, BoostConfig(max_depth=4), leaves=index_leaves)
         for x, y in zip(tree_arrays(a), tree_arrays(b)):
             assert np.array_equal(x, y, equal_nan=True)
-
-    def test_order_of_wrong_shape_rejected(self):
-        from rxlearner.boosting import _feature_order
-        X = np.arange(12.0).reshape(6, 2)
-        with pytest.raises(BoostingError, match="shape"):
-            fit_tree(X, np.arange(6.0), np.ones(6), BoostConfig(), order=_feature_order(X).T)
-        with pytest.raises(BoostingError, match="shape"):
-            fit_tree(X, np.arange(6.0), np.ones(6), BoostConfig(), order=_feature_order(X[:5]))
+        assert leaves.tobytes() == index_leaves.tobytes()
+        assert a.predict(index).tobytes() == a.predict(X).tobytes()
 
 
 class TestBatchedSplitSearch:
@@ -294,7 +288,8 @@ def ensemble_bytes(model):
 
 
 class TestFeatureIndex:
-    """One index serves every fit on its matrix; sharing it changes no bit."""
+    """An index is its matrix: one serves every fit on it, and passing it in
+    place of the matrix changes no bit."""
 
     @settings(max_examples=100, deadline=None)
     @given(problem=tree_problems())
@@ -303,13 +298,12 @@ class TestFeatureIndex:
         config = replace(config, n_rounds=6)
         index = boosting.feature_index(X)
         columns, order = index.columns.copy(), index.order.copy()
-        for kind in (SQUARED, HUBER, GAMMA_WELSCH):
-            shared = fit_boosted(X, t, LossSpec(kind=kind), config, index=index)
-            alone = fit_boosted(X, t, LossSpec(kind=kind), config)
-            assert ensemble_bytes(shared) == ensemble_bytes(alone), kind
         labels = (t > np.median(t)).astype(float)
-        assert (ensemble_bytes(fit_boosted_logistic(X, labels, config, index=index))
-                == ensemble_bytes(fit_boosted_logistic(X, labels, config)))
+        for kind, y in ((SQUARED, t), (HUBER, t), (GAMMA_WELSCH, t), (LOGISTIC, labels)):
+            shared = fit_boosted(index, y, LossSpec(kind=kind), config)
+            alone = fit_boosted(X, y, LossSpec(kind=kind), config)
+            assert ensemble_bytes(shared) == ensemble_bytes(alone), kind
+            assert shared.predict(index).tobytes() == alone.predict(X).tobytes(), kind
         # No fit writes to the index it was given.
         assert index.columns.tobytes() == columns.tobytes()
         assert index.order.tobytes() == order.tobytes()
@@ -320,32 +314,24 @@ class TestFeatureIndex:
         assert index.columns.flags.c_contiguous and index.columns.tolist() == X.T.tolist()
         assert index.order.dtype == np.int32 and index.order.tolist() == [[1, 2, 0], [2, 0, 1]]
 
-    @pytest.mark.parametrize("built_from, message", [
-        (lambda X: X[:5], r"\(2, 5\) was built from a \(5, 2\) matrix, not the features' \(6, 2\)"),
-        (lambda X: X[:, :1], r"\(1, 6\) was built from a \(6, 1\) matrix, not the features' \(6, 2\)"),
-        (lambda X: X + 1.0, r"built from another \(6, 2\) matrix"),
-    ])
-    def test_index_of_another_matrix_rejected(self, built_from, message):
-        X = np.arange(12.0).reshape(6, 2)
-        index = boosting.feature_index(built_from(X))
-        with pytest.raises(BoostingError, match=message):
-            fit_boosted(X, np.arange(6.0), LossSpec(kind=SQUARED), BoostConfig(n_rounds=1),
-                        index=index)
-        with pytest.raises(BoostingError, match=message):
-            fit_boosted_logistic(X, np.arange(6.0) % 2, BoostConfig(n_rounds=1), index=index)
+    def test_index_reads_as_its_matrix_without_a_copy(self):
+        X = np.array([[3.0, 0.5], [1.0, 0.5], [2.0, -1.0]])
+        index = boosting.feature_index(X)
+        matrix = np.asarray(index)
+        assert matrix.shape == (3, 2) and matrix.tolist() == X.tolist()
+        assert np.shares_memory(matrix, index.columns) and matrix.flags.f_contiguous
+        assert np.asarray(index, dtype=float).base is index.columns
+        copied = np.array(index, copy=True)
+        assert copied.tolist() == X.tolist() and not np.shares_memory(copied, index.columns)
+        assert np.asarray(index, dtype=np.float32).dtype == np.float32
+        with pytest.raises(ValueError, match="needs a copy"):
+            index.__array__(np.float32, copy=False)
 
     def test_index_parts_of_different_shapes_rejected(self):
         with pytest.raises(BoostingError, match=r"\(2, 6\) and order of shape \(2, 5\)"):
             boosting.FeatureIndex(columns=np.zeros((2, 6)), order=np.zeros((2, 5), np.int32))
         with pytest.raises(BoostingError, match="not a matrix"):
             boosting.feature_index(np.arange(6.0))
-
-    def test_order_error_names_both_shapes(self):
-        X = np.arange(12.0).reshape(6, 2)
-        with pytest.raises(BoostingError, match=r"\(5, 2\), but features of shape \(6, 2\) "
-                                                r"need \(2, 6\)"):
-            fit_tree(X, np.arange(6.0), np.ones(6), BoostConfig(),
-                     order=boosting._feature_order(X[:5]).T)
 
     def test_offsets_do_not_wrap_past_int32(self):
         # Rows of columns 1 and 2 of a (3, 2**31) matrix: int32 arithmetic would wrap.
@@ -756,20 +742,21 @@ class TestLogisticBoosting:
         X = rng.uniform(-1, 1, size=(n, 2))
         pi = 1.0 / (1.0 + np.exp(-2.0 * X[:, 0]))
         w = (rng.random(n) < pi).astype(float)
-        model = fit_boosted_logistic(X, w, BoostConfig(n_rounds=100, max_depth=2))
+        model = fit_boosted(X, w, LossSpec(kind=LOGISTIC), BoostConfig(n_rounds=100, max_depth=2))
         assert np.mean(np.abs(predict_proba(model, X) - pi)) < 0.05
 
     def test_predictions_clipped(self):
         rng = np.random.default_rng(7)
         X = rng.normal(size=(500, 1))
         w = (X[:, 0] > 0).astype(float)  # perfectly separable
-        model = fit_boosted_logistic(X, w, BoostConfig(n_rounds=200))
+        model = fit_boosted(X, w, LossSpec(kind=LOGISTIC), BoostConfig(n_rounds=200))
         p = predict_proba(model, X)
         assert p.min() >= 0.01 and p.max() <= 0.99
 
     def test_rejects_non_binary_labels(self):
         with pytest.raises(BoostingError):
-            fit_boosted_logistic(np.ones((3, 1)), np.array([0.0, 0.5, 1.0]), BoostConfig())
+            fit_boosted(np.ones((3, 1)), np.array([0.0, 0.5, 1.0]), LossSpec(kind=LOGISTIC),
+                        BoostConfig())
 
 
 def reference_fit_logistic(X, z, config):
@@ -785,8 +772,7 @@ def reference_fit_logistic(X, z, config):
     for _ in range(config.n_rounds):
         p = 1.0 / (1.0 + np.exp(-F))
         resid = z - p
-        tree = fit_tree(index.columns.T, resid, np.ones_like(resid), config, order=index.order,
-                        leaves=leaves)
+        tree = fit_tree(index, resid, np.ones_like(resid), config, leaves=leaves)
         F = F + config.learning_rate * tree.value[leaves]
         trees.append(tree)
         steps.append(config.learning_rate)
@@ -809,7 +795,7 @@ class TestLogisticLoss:
         config = replace(config, n_rounds=n_rounds, learning_rate=learning_rate)
         # cut -inf gives all-ones labels; 0.5 splits at the median
         labels = (t > (np.quantile(t, cut) if np.isfinite(cut) else cut)).astype(float)
-        model = fit_boosted_logistic(X, labels, config)
+        model = fit_boosted(X, labels, LossSpec(kind=LOGISTIC), config)
         assert ensemble_bytes(model) == ensemble_bytes(reference_fit_logistic(X, labels, config))
         # Non-increasing up to the loop's rounding slack: at the optimum a leaf
         # value of 1e-17 can raise the log-loss by one ulp.
@@ -820,8 +806,9 @@ class TestLogisticLoss:
         X = np.random.default_rng(0).normal(size=(50, 2))
         X[17, 1] = np.nan
         with pytest.raises(BoostingError, match="features contain non-finite values"):
-            fit_boosted_logistic(X, np.arange(50.0) % 2, BoostConfig(n_rounds=3))
+            fit_boosted(X, np.arange(50.0) % 2, LossSpec(kind=LOGISTIC), BoostConfig(n_rounds=3))
 
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(BoostingError, match="matching lengths"):
-            fit_boosted_logistic(np.ones((40, 2)), np.arange(50.0) % 2, BoostConfig(n_rounds=0))
+            fit_boosted(np.ones((40, 2)), np.arange(50.0) % 2, LossSpec(kind=LOGISTIC),
+                        BoostConfig(n_rounds=0))

@@ -386,6 +386,12 @@ class TestCsvRoundTrip:
         with pytest.raises(DatasetError, match="non-binary"):
             load_dataset_csv(path)
 
+    def test_non_binary_treatment_located_past_blank_lines(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,w,y\n1.0,0,1.0\n\n\n2.0,0.5,2.0\n")
+        with pytest.raises(DatasetError, match="non-binary treatment at row 5: 0.5"):
+            load_dataset_csv(path)
+
     def test_unknown_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,w,y,extra\n0.5,1,2.0,9\n")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rxlearner.losses import (
     GAMMA_WELSCH,
     HUBER,
+    LOGISTIC,
     SCALE_FLOOR,
     SQUARED,
     LossSpec,
@@ -126,6 +127,12 @@ class TestOtherLosses:
         hub = LossSpec(kind=HUBER)
         assert loss_value(r, hub) == huber_loss(r, hub)
         assert loss_value(r, WELSCH) == gamma_loss(r, WELSCH)
+
+    @pytest.mark.parametrize("function", [loss_value, gradient_and_weight])
+    def test_logistic_spec_rejected_by_its_kind(self, function):
+        with pytest.raises(ValueError, match=f"{function.__name__} takes residuals, and the "
+                                             "'logistic' loss has no residual form"):
+            function(np.array([0.5, -1.5]), LossSpec(kind=LOGISTIC))
 
 
 class TestGradientAndWeight:

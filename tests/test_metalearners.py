@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from rxlearner import boosting
+from rxlearner import boosting, metalearners
 from rxlearner.boosting import BoostConfig, BoostedEnsemble
 from rxlearner.datasets import CausalDataset, ContaminationSpec, ScenarioSpec, generate_synthetic
 from rxlearner.losses import GAMMA_WELSCH, LOGISTIC, SQUARED, LossSpec
@@ -356,27 +356,33 @@ SHARED_INDEX_SPECS = {
                                                          propensity="fitted"),
 }
 # Fits on one matrix each: stage 1 (2), then stage 3 (2) or dr's final model
-# (1), plus the propensity when it is fitted.
+# (1), plus the propensity when it is fitted. The fits on the full matrix
+# (dr's final model, the propensity) index it themselves.
 FITS = {"t": 2, "mse_x": 4, "rx": 4, "dr_clipped": 3, "winsorized_x": 4, "rx_fitted_propensity": 5}
+FULL_MATRIX_FITS = {"dr_clipped": 1, "rx_fitted_propensity": 1}
 
 
 class TestSharedFeatureIndex:
-    """fit_meta sorts each matrix once and shares its index between fits; that
-    must predict exactly what an index built for every fit predicts."""
+    """fit_meta sorts each arm once and passes its index to every fit on the
+    arm; that must predict exactly what an index built for every fit predicts."""
 
     @pytest.mark.parametrize("learner", sorted(SHARED_INDEX_SPECS))
     def test_predictions_match_an_index_per_fit(self, invariant_data, learner):
         spec = SHARED_INDEX_SPECS[learner](boost_config=BoostConfig(n_rounds=20))
-        shared = predict_cate(fit_meta(invariant_data, spec), invariant_data.features)
-        built = []
 
-        def index_per_fit(X, index):
-            built.append(X.shape)
-            return boosting.feature_index(X)
+        def fit(arm_index):
+            with mock.patch.object(boosting, "feature_index",
+                                   wraps=boosting.feature_index) as built_in_fit:
+                with mock.patch.object(metalearners, "feature_index",
+                                       side_effect=arm_index) as built_per_arm:
+                    cate = predict_cate(fit_meta(invariant_data, spec), invariant_data.features)
+            return cate, built_per_arm.call_count, built_in_fit.call_count
 
-        with mock.patch.object(boosting, "_index_for", index_per_fit):
-            rebuilt = predict_cate(fit_meta(invariant_data, spec), invariant_data.features)
-        assert len(built) == FITS[learner]
+        shared, arms, in_fits = fit(boosting.feature_index)
+        assert (arms, in_fits) == (2, FULL_MATRIX_FITS.get(learner, 0))
+        # Pass each arm's matrix on as it is, so every fit builds its own index.
+        rebuilt, arms, in_fits = fit(lambda X: X)
+        assert (arms, in_fits) == (2, FITS[learner])
         assert shared.tobytes() == rebuilt.tobytes()
 
 
