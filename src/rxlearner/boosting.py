@@ -24,13 +24,18 @@ Prediction compiles the trees first. :func:`_compile` joins an ensemble's
 pre-order trees into one routing table and turns every leaf into a node that
 loops to itself (both children the leaf, feature 0), so after as many steps
 as the deepest tree every row of every tree sits on its leaf, whatever depth
-the leaf is at. A row goes right exactly when ``x > threshold``, so a row at a
-threshold goes left, as in training. :func:`_route` then moves all trees'
-rows a level at a time in blocks of ``PREDICT_CELLS`` (tree, row) cells: one
-step gathers each row's split feature and threshold, so the cost grows
-linearly with the depth, and a block's memory does not grow with the row
-count. Predictions are bit-identical to walking each tree node by node: they
-gather the same leaf values and add the trees in the same order.
+the leaf is at. The table is indexed by child slot: node i owns slots 2i (left)
+and 2i + 1 (right), each holding node i's feature and threshold and the doubled
+id of that child, so a row's next slot is its node's slot plus the comparison
+``x > threshold``. A row at a threshold therefore goes left, as in training.
+:func:`_route` moves all trees' rows a level at a time in blocks of
+``PREDICT_CELLS`` (tree, row) cells, on doubled ids, and halves them
+(``node >> 1``) once per block to get the leaves: one step gathers each row's
+split feature and threshold, so the cost grows linearly with the depth, and a
+block's memory does not grow with the row count. An ensemble compiles its
+table and scales its leaf values by their step sizes once. Predictions are
+bit-identical to walking each tree node by node: they gather the same leaf
+values and add the trees in the same order.
 """
 
 from __future__ import annotations
@@ -139,11 +144,14 @@ def _as_features(X, min_width, max_width, owner) -> np.ndarray:
 def _compile(trees, max_depth=None):
     """Routing table of pre-order trees: (feature, threshold, child, roots, depth).
 
-    Node ids run across all trees, tree k's from ``roots[k]``; ``child[i]``
-    holds node i's left and right child. A leaf gets feature 0 and itself as
-    both children. ``depth`` is the deepest tree's depth, found by walking
-    the nodes reachable at each level of all trees at once. A tree with a
-    cycle, or deeper than ``max_depth``, raises BoostingError naming it.
+    Node ids run across all trees, tree k's from ``roots[k]``. The first three
+    arrays are indexed by child slot, two per node: slots 2i and 2i + 1 both
+    hold node i's feature and threshold, and ``child[2i]`` and ``child[2i + 1]``
+    hold twice the ids of its left and right child, so a routed id is always
+    a slot pair's first slot. A leaf gets feature 0 and itself as both
+    children. ``depth`` is the deepest tree's depth, found by walking the nodes
+    reachable at each level of all trees at once. A tree with a cycle, or
+    deeper than ``max_depth``, raises BoostingError naming it.
     """
     sizes = [tree.feature.size for tree in trees]
     roots = np.zeros(len(trees), dtype=np.intp)
@@ -168,25 +176,30 @@ def _compile(trees, max_depth=None):
         node, depth = node[~leaf[node]], depth + 1
     if deep is not None:
         raise BoostingError(f"tree {deep} is deeper than max_depth {max_depth}")
-    return np.maximum(feature, 0), joined("threshold", float), child, roots, depth
+    return (np.repeat(np.maximum(feature, 0), 2), np.repeat(joined("threshold", float), 2),
+            2 * child.ravel(), roots, depth)
 
 
 def _route(table, X):
     """Yield (rows, leaf) per block of X's rows; leaf[k] holds each row's leaf in tree k.
 
     ``table`` is a :func:`_compile` result and ``rows`` the block's slice of X.
-    Every step moves each (tree, row) cell to a child:
-    node = child[node, x[row, feature[node]] > threshold[node]].
+    Each (tree, row) cell starts at twice its tree's root, and every step moves
+    it to a child's doubled id:
+    node = child[node + (x[row, feature[node]] > threshold[node])].
+    The leaf ids are ``node >> 1``, taken once per block.
     """
     feature, threshold, child, roots, depth = table
     block = max(1, PREDICT_CELLS // max(1, roots.size))
+    start = 2 * roots[:, None]
     for r0 in range(0, X.shape[0], block):
         x = np.ascontiguousarray(X[r0:r0 + block])
         at = np.arange(x.shape[0]) * x.shape[1]  # each row's offset in x
         x = x.ravel()
-        node = np.repeat(roots[:, None], at.size, axis=1)
+        node = np.repeat(start, at.size, axis=1)
         for _ in range(depth):
-            node = child.take(2 * node + (x.take(at + feature.take(node)) > threshold.take(node)))
+            node = child.take(node + (x.take(at + feature.take(node)) > threshold.take(node)))
+        node >>= 1
         yield slice(r0, r0 + at.size), node
 
 
@@ -408,21 +421,27 @@ class BoostedEnsemble:
     loss_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
     config: BoostConfig = field(default_factory=BoostConfig)
     n_features: int = 0
-    # The routing table of _compile, built by load_model's check or on the
-    # first predict; the trees of a fitted or loaded model do not change.
+    # The routing table of _compile and the step-scaled leaf values, built by
+    # load_model's check or on the first predict; the trees of a fitted or
+    # loaded model do not change.
     _table: tuple = field(default=None, init=False, repr=False, compare=False)
+    _scaled: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+
+    def _prepare(self, max_depth=None) -> None:
+        self._table = _compile(self.trees, max_depth)
+        # (eta * value)[leaf] is eta * value[leaf] bit for bit: scale once, then gather
+        self._scaled = np.concatenate(
+            [np.empty(0), *(eta * tree.value for eta, tree in zip(self.step_sizes, self.trees))])
 
     def predict(self, X) -> np.ndarray:
         X = _as_features(X, self.n_features, self.n_features, f"training ({self.n_features})")
         if self._table is None:
-            self._table = _compile(self.trees)
-        # (eta * value)[leaf] is eta * value[leaf] bit for bit: scale once, then gather
-        scaled = np.concatenate(
-            [np.empty(0), *(eta * tree.value for eta, tree in zip(self.step_sizes, self.trees))])
+            self._prepare()
         out = np.full(X.shape[0], self.base_prediction)
         for rows, leaf in _route(self._table, X):
             block = out[rows]
-            for tree_leaf in scaled.take(leaf):  # trees added in order
+            # a loop, not np.add.reduce: numpy sums a one-row block's trees pairwise
+            for tree_leaf in self._scaled.take(leaf):
                 block += tree_leaf
         return out
 
@@ -567,7 +586,7 @@ def load_model(path) -> BoostedEnsemble:
             config=BoostConfig(**config_doc),
             n_features=int(doc["n_features"]),
         )
-        model._table = _check_trees(model)
+        _check_trees(model)
     except (KeyError, TypeError, ValueError) as exc:
         # ValueError: an out-of-range LossSpec or BoostConfig field, a non-numeric array,
         # or a BoostingError from _check_trees.
@@ -575,8 +594,8 @@ def load_model(path) -> BoostedEnsemble:
     return model
 
 
-def _check_trees(model: BoostedEnsemble) -> tuple:
-    """The routing table of a loaded model's trees, or BoostingError if one cannot be routed.
+def _check_trees(model: BoostedEnsemble) -> None:
+    """Compile a loaded model's trees, or raise BoostingError if one cannot be routed.
 
     A tree must have equal-length 1-D arrays, split only on the model's features,
     point its internal nodes at nodes that exist, have no cycle, and be no
@@ -598,4 +617,4 @@ def _check_trees(model: BoostedEnsemble) -> tuple:
             raise BoostingError(f"tree {k}: child index out of range for {n} nodes")
         if np.any(np.isnan(tree.threshold[inner])):
             raise BoostingError(f"tree {k}: NaN threshold at a split")
-    return _compile(model.trees, model.config.max_depth)
+    model._prepare(model.config.max_depth)

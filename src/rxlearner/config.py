@@ -10,8 +10,6 @@ import importlib.resources
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Dict, List, Optional
 
-import yaml
-
 from .boosting import BoostConfig
 from .datasets import ScenarioSpec, SemiSyntheticSpec
 from .metalearners import (
@@ -266,6 +264,8 @@ def parse_config(doc: dict) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
+    import yaml  # only reading a config file needs it, not importing the package
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = yaml.safe_load(fh)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -146,6 +145,8 @@ def _run_trials(generate, inputs, spec, learners, n_trials, n_jobs) -> EvalRepor
         raise EvaluationError("n_trials must be >= 1")
     jobs = [(generate, inputs, spec, learners, spec.seed + t) for t in range(n_trials)]
     if n_jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             results = list(pool.map(_trial, jobs))
     else:

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rxlearner import boosting
 from rxlearner.boosting import (
@@ -427,6 +427,15 @@ class TestCompiledPredict:
     @pytest.mark.parametrize("cells", [1, 7, 40, 200, boosting.PREDICT_CELLS])
     @settings(max_examples=100, deadline=None)
     @given(case=hand_ensembles())
+    # Trees are added one at a time, in order: (((1/3 - 0.0) - 0.0) + 0.25) + 1/6 is
+    # 0.7499999999999999, while np.add.reduce(vals, axis=0, initial=base) sums a one-row
+    # (trees, 1) block pairwise and gives 0.75.
+    @example(case=(BoostedEnsemble(
+        base_prediction=1.0 / 3.0,
+        trees=[RegressionTree(feature=np.array([-1]), threshold=np.array([np.nan]), left=np.array([-1]),
+                              right=np.array([-1]), value=np.array([v]))
+               for v in (-0.0, -0.0, 1.0 / 3.0, 1.0 / 3.0)],
+        step_sizes=[1.0, 1.0, 0.75, 0.5], n_features=1), np.zeros((1, 1))))
     def test_hand_built_trees_match_reference(self, cells, case):
         model, X = case
         with mock.patch.object(boosting, "PREDICT_CELLS", cells):

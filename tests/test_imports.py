@@ -1,6 +1,10 @@
-"""Every module-level import in the package is used by the module that makes it."""
+"""Every module-level import in the package is used by the module that makes it, and
+importing the package and its CLI loads no module that only some commands need."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +36,14 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def test_import_leaves_yaml_and_process_pools_unloaded():
+    # yaml is read only by load_config, a process pool only for n_jobs > 1.
+    code = ("import sys, rxlearner, rxlearner.cli; "
+            "print([m for m in ('yaml', 'concurrent.futures') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
