@@ -79,6 +79,12 @@ class BoostingError(ValueError):
     """Raised for invalid boosting inputs or malformed model files."""
 
 
+#: A :class:`RegressionTree`'s node arrays and their dtypes, in field order: the
+#: schema of its fields and of its entry in a model file.
+TREE_ARRAYS = (("feature", np.int64), ("threshold", np.float64), ("left", np.int64),
+               ("right", np.int64), ("value", np.float64))
+
+
 @dataclass(frozen=True)
 class BoostConfig:
     n_rounds: int = 200
@@ -107,7 +113,8 @@ class RegressionTree:
     An internal node sends a row to ``left`` when ``x[feature] <= threshold``
     and to ``right`` otherwise, so ties go left. :meth:`predict` routes
     through the compiled table of :func:`_compile` (see the module docstring),
-    in which each leaf loops to itself.
+    in which each leaf loops to itself. Each field is cast to its :data:`TREE_ARRAYS`
+    dtype by a safe cast only: a fractional node id raises, not truncates.
     """
 
     feature: np.ndarray
@@ -115,6 +122,14 @@ class RegressionTree:
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in TREE_ARRAYS:
+            array = np.asarray(getattr(self, name))
+            if array.size and not np.can_cast(array.dtype, dtype):
+                kind = "integer" if np.issubdtype(dtype, np.integer) else "numeric"
+                raise BoostingError(f"{name} holds non-{kind} values")
+            setattr(self, name, array.astype(dtype, copy=False))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         top = int(self.feature.max(initial=-1))
@@ -401,13 +416,7 @@ def fit_tree(X, targets, instance_weights, config: BoostConfig, *,
             right_order = node_order[~mask].reshape(d, idx.size - n_left)
         stack.append((idx[~go_left], right_order, depth + 1, right, node))
         stack.append((idx[go_left], left_order, depth + 1, left, node))
-    return RegressionTree(
-        feature=np.asarray(feature, dtype=np.int64),
-        threshold=np.asarray(threshold, dtype=float),
-        left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
-        value=np.asarray(value, dtype=float),
-    )
+    return RegressionTree(feature, threshold, left, right, value)
 
 
 @dataclass
@@ -525,58 +534,39 @@ def save_model(model: BoostedEnsemble, path) -> None:
         "config": asdict(model.config),
         "n_features": model.n_features,
         "loss_trace": [float(v) for v in model.loss_trace],
-        "trees": [
-            {
-                "feature": tree.feature.tolist(),
-                "threshold": tree.threshold.tolist(),
-                "left": tree.left.tolist(),
-                "right": tree.right.tolist(),
-                "value": tree.value.tolist(),
-            }
-            for tree in model.trees
-        ],
+        "trees": [{name: getattr(tree, name).tolist() for name, _ in TREE_ARRAYS}
+                  for tree in model.trees],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
 
 
 def load_model(path) -> BoostedEnsemble:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise BoostingError(f"{path}: malformed model file: {exc}") from None
-    version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise BoostingError(
-            f"{path}: unsupported model format version {version!r} "
-            f"(expected {MODEL_FORMAT_VERSION})"
-        )
+    """Read a :func:`save_model` file. Any flaw in it, unroutable trees included, raises
+    BoostingError("<path>: malformed model file: ..."); a missing file FileNotFoundError."""
+    where = ""  # names the tree being read, if any
     try:
-        loss_doc = {**doc["loss_spec"]}
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise BoostingError(f"expected a JSON object, got {json.dumps(doc)[:40]}")
+        version = doc.get("format_version")
+        if version != MODEL_FORMAT_VERSION:
+            raise BoostingError(f"unsupported model format version {version!r} "
+                                f"(expected {MODEL_FORMAT_VERSION})")
+        loss_doc, config_doc = {**doc["loss_spec"]}, {**doc["config"]}
         # Older v1 files carry refresh_every, which only 0 (a fixed anchor) can mean now,
         # and a config seed that no fit ever read.
         refresh_every = loss_doc.pop("refresh_every", 0)
-        config_doc = {**doc["config"]}
+        if refresh_every != 0:
+            raise BoostingError(f"refresh_every={refresh_every!r} is not supported; "
+                                "the scale anchor is fixed")
         config_doc.pop("seed", None)
-    except (KeyError, TypeError) as exc:
-        raise BoostingError(f"{path}: malformed model file: {exc}") from None
-    if refresh_every != 0:
-        raise BoostingError(
-            f"{path}: refresh_every={refresh_every!r} is not supported; "
-            "the scale anchor is fixed"
-        )
-    try:
-        trees = [
-            RegressionTree(
-                feature=np.asarray(td["feature"], dtype=np.int64),
-                threshold=np.asarray(td["threshold"], dtype=float),
-                left=np.asarray(td["left"], dtype=np.int64),
-                right=np.asarray(td["right"], dtype=np.int64),
-                value=np.asarray(td["value"], dtype=float),
-            )
-            for td in doc["trees"]
-        ]
+        trees = []
+        for k, td in enumerate(doc["trees"]):
+            where = f"tree {k}: "
+            trees.append(RegressionTree(**{name: td[name] for name, _ in TREE_ARRAYS}))
+        where = ""
         model = BoostedEnsemble(
             base_prediction=float(doc["base_prediction"]),
             trees=trees,
@@ -588,9 +578,9 @@ def load_model(path) -> BoostedEnsemble:
         )
         _check_trees(model)
     except (KeyError, TypeError, ValueError) as exc:
-        # ValueError: an out-of-range LossSpec or BoostConfig field, a non-numeric array,
-        # or a BoostingError from _check_trees.
-        raise BoostingError(f"{path}: malformed model file: {exc}") from None
+        # ValueError: bad JSON or text, an out-of-range LossSpec or BoostConfig field,
+        # a non-numeric array, or a BoostingError raised above or by _check_trees.
+        raise BoostingError(f"{path}: malformed model file: {where}{exc}") from None
     return model
 
 
@@ -605,8 +595,7 @@ def _check_trees(model: BoostedEnsemble) -> None:
         raise BoostingError(f"{len(model.trees)} trees but {len(model.step_sizes)} step sizes")
     for k, tree in enumerate(model.trees):
         n = tree.feature.size
-        arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
-        if n == 0 or any(a.shape != (n,) for a in arrays):
+        if n == 0 or any(getattr(tree, name).shape != (n,) for name, _ in TREE_ARRAYS):
             raise BoostingError(f"tree {k}: node arrays are empty or of unequal length")
         inner = tree.feature >= 0
         if np.any(tree.feature >= model.n_features):

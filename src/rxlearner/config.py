@@ -169,13 +169,9 @@ def _build_learner(doc: dict, index: int, errors: list):
     boost = (_build_spec(BoostConfig, doc.get("boost", {}), f"{where}.boost", errors)
              or BoostConfig())
     try:
-        if kind == "rx":
-            spec = rx_spec(gamma=float(doc.get("gamma", 0.2)), boost_config=boost)
-        else:
-            spec = _LEARNER_FACTORIES[kind](boost_config=boost)
-        updates = {}
-        if "delta_multiplier" in doc:
-            updates["loss"] = replace(spec.loss, delta_multiplier=float(doc["delta_multiplier"]))
+        spec = _LEARNER_FACTORIES[kind](boost_config=boost)
+        loss = {key: float(doc[key]) for key in ("gamma", "delta_multiplier") if key in doc}
+        updates = {"loss": replace(spec.loss, **loss)} if loss else {}
         if "aggregation" in doc:
             updates["aggregation"] = AggregationScheme(
                 kind=doc["aggregation"], g=float(doc.get("g", 0.5))

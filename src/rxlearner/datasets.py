@@ -483,30 +483,25 @@ def load_table_csv(path):
     return features[:rows], {h: named[j, :rows] for j, h in enumerate(header[d:])}
 
 
+def _data_rows(path):
+    """Yield (file line, cells) of each data row of a CSV table; blank lines hold no row."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        yield from ((reader.line_num, row) for row in reader if row)
+
+
 def _first_bad_row(path, header) -> Optional[str]:
     """Locate the first ragged row or non-numeric cell of a table that failed to parse."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                return f"row {reader.line_num} has {len(row)} cells, expected {len(header)}"
-            for name, text in zip(header, row):
-                try:
-                    float(text)
-                except ValueError:
-                    return f"non-numeric cell at row {reader.line_num}, column {name!r}: {text!r}"
+    for line, row in _data_rows(path):
+        if len(row) != len(header):
+            return f"row {line} has {len(row)} cells, expected {len(header)}"
+        for name, text in zip(header, row):
+            try:
+                float(text)
+            except ValueError:
+                return f"non-numeric cell at row {line}, column {name!r}: {text!r}"
     return None
-
-
-def _line_of_row(path, k) -> int:
-    """File line of data row k (from 0) of a table; blank lines hold no row."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return next(itertools.islice((reader.line_num for row in reader if row), k, None))
 
 
 def load_dataset_csv(path) -> CausalDataset:
@@ -518,7 +513,7 @@ def load_dataset_csv(path) -> CausalDataset:
     w = named["w"]
     bad = np.flatnonzero((w != 0.0) & (w != 1.0))
     if bad.size:
-        raise DatasetError(f"{path}: non-binary treatment at row {_line_of_row(path, bad[0])}: "
-                           f"{float(w[bad[0]])!r}")
+        line, _ = next(itertools.islice(_data_rows(path), int(bad[0]), None))
+        raise DatasetError(f"{path}: non-binary treatment at row {line}: {float(w[bad[0]])!r}")
     return CausalDataset(features=X, treatment=w, outcome=named["y"],
                          true_cate=named.get("tau_true"), outlier_mask=named.get("is_outlier"))

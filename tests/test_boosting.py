@@ -663,6 +663,11 @@ class TestModelIO:
         np.testing.assert_array_equal(back.loss_trace, model.loss_trace)
         assert back.loss_spec == model.loss_spec
         assert back.config == model.config
+        assert len(back.trees) == len(model.trees)
+        for tree, saved in zip(back.trees, model.trees):
+            for name, _ in boosting.TREE_ARRAYS:
+                got, want = getattr(tree, name), getattr(saved, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_wrong_version_rejected(self, tmp_path):
         path = tmp_path / "m.json"
@@ -726,6 +731,8 @@ class TestModelIO:
         (lambda doc: doc["trees"][1]["value"].pop(), "tree 1: node arrays are empty or of unequal"),
         (lambda doc: doc["trees"][2]["threshold"].__setitem__(0, float("nan")), "tree 2: NaN threshold"),
         (lambda doc: doc["config"].__setitem__("max_depth", 2), "tree 0 is deeper than max_depth 2"),
+        (lambda doc: doc["trees"][0]["feature"].__setitem__(0, 0.7), "tree 0: feature holds non-integer"),
+        (lambda doc: doc["trees"][0]["left"].__setitem__(0, 1.5), "tree 0: left holds non-integer"),
     ])
     def test_unroutable_tree_rejected(self, tmp_path, edit, message):
         rng = np.random.default_rng(9)

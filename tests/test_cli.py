@@ -8,7 +8,7 @@ import pytest
 from rxlearner.cli import build_parser, main
 from rxlearner.datasets import ScenarioSpec, generate_synthetic, load_dataset_csv, save_dataset_csv
 from rxlearner.metalearners import fit_meta, load_meta, mse_x_spec, predict_cate, rx_spec, save_meta
-from rxlearner.boosting import BoostConfig
+from rxlearner.boosting import BoostConfig, BoostingError, load_model
 
 TINY = """
 version: 1
@@ -277,6 +277,21 @@ class TestExitCodes:
         assert main(["predict", str(model_dir), dataset, str(tmp_path / "preds.csv")]) == 1
         err = capsys.readouterr().err
         assert f"tau0.json: malformed model file: {message}" in err
+
+    @pytest.mark.parametrize("text", ["[1]", "null", "3"])
+    def test_bundle_part_not_an_object_is_validation_error(self, tiny_config, tmp_path, capsys,
+                                                           text):
+        sim = tmp_path / "sim"
+        main(["simulate", "--config", tiny_config, "--out-dir", str(sim)])
+        dataset = str(sim / "dataset.csv")
+        model_dir = tmp_path / "model"
+        assert main(["fit", dataset, "--config", tiny_config, "--model-out", str(model_dir)]) == 0
+        (model_dir / "mu1.json").write_text(text)
+        with pytest.raises(BoostingError, match=r"mu1.json: malformed model file: .*JSON object"):
+            load_model(model_dir / "mu1.json")
+        capsys.readouterr()
+        assert main(["predict", str(model_dir), dataset, str(tmp_path / "preds.csv")]) == 1
+        assert "mu1.json: malformed model file" in capsys.readouterr().err
 
     def test_non_integer_seed_is_validation_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"
