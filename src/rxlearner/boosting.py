@@ -33,9 +33,10 @@ id of that child, so a row's next slot is its node's slot plus the comparison
 (``node >> 1``) once per block to get the leaves: one step gathers each row's
 split feature and threshold, so the cost grows linearly with the depth, and a
 block's memory does not grow with the row count. An ensemble compiles its
-table and scales its leaf values by their step sizes once. Predictions are
-bit-identical to walking each tree node by node: they gather the same leaf
-values and add the trees in the same order.
+table and scales its leaf values by their step sizes when it is built, so a
+fitted, hand-built or loaded model that cannot be routed raises there.
+Predictions are bit-identical to walking each tree node by node: they gather
+the same leaf values and add the trees in the same order.
 """
 
 from __future__ import annotations
@@ -94,16 +95,20 @@ class BoostConfig:
     min_samples_leaf: int = 5
 
     def __post_init__(self):
-        if self.n_rounds < 0:
-            raise BoostingError("n_rounds must be >= 0")
+        for name, low in (("n_rounds", 0), ("max_depth", 1), ("min_samples_leaf", 1)):
+            _check_count(name, getattr(self, name), low)
         if not 0.0 < self.learning_rate <= 1.0:
             raise BoostingError("learning_rate must lie in (0, 1]")
-        if self.max_depth < 1:
-            raise BoostingError("max_depth must be >= 1")
         if self.min_child_weight < 0:
             raise BoostingError("min_child_weight must be >= 0")
-        if self.min_samples_leaf < 1:
-            raise BoostingError("min_samples_leaf must be >= 1")
+
+
+def _check_count(name, value, low) -> None:
+    """Raise BoostingError unless value is an integer, not a bool, of at least low."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise BoostingError(f"{name} must be an integer")
+    if value < low:
+        raise BoostingError(f"{name} must be >= {low}")
 
 
 @dataclass
@@ -130,6 +135,9 @@ class RegressionTree:
                 kind = "integer" if np.issubdtype(dtype, np.integer) else "numeric"
                 raise BoostingError(f"{name} holds non-{kind} values")
             setattr(self, name, array.astype(dtype, copy=False))
+        n = self.feature.size
+        if n == 0 or any(getattr(self, name).shape != (n,) for name, _ in TREE_ARRAYS):
+            raise BoostingError("node arrays are empty or of unequal length")
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         top = int(self.feature.max(initial=-1))
@@ -156,7 +164,7 @@ def _as_features(X, min_width, max_width, owner) -> np.ndarray:
     return X
 
 
-def _compile(trees, max_depth=None):
+def _compile(trees, max_depth=None, n_features=None):
     """Routing table of pre-order trees: (feature, threshold, child, roots, depth).
 
     Node ids run across all trees, tree k's from ``roots[k]``. The first three
@@ -165,8 +173,10 @@ def _compile(trees, max_depth=None):
     hold twice the ids of its left and right child, so a routed id is always
     a slot pair's first slot. A leaf gets feature 0 and itself as both
     children. ``depth`` is the deepest tree's depth, found by walking the nodes
-    reachable at each level of all trees at once. A tree with a cycle, or
-    deeper than ``max_depth``, raises BoostingError naming it.
+    reachable at each level of all trees at once. A tree that splits on a
+    feature of ``n_features`` or more, points a split at a node outside
+    itself, splits at a NaN threshold, has a cycle, or is deeper than
+    ``max_depth`` raises BoostingError naming it.
     """
     sizes = [tree.feature.size for tree in trees]
     roots = np.zeros(len(trees), dtype=np.intp)
@@ -175,23 +185,37 @@ def _compile(trees, max_depth=None):
     def joined(name, dtype):
         return np.concatenate([np.empty(0, dtype), *(getattr(tree, name) for tree in trees)])
 
-    feature = joined("feature", np.intp)
+    def tree_of(node):
+        return np.searchsorted(roots, node, "right") - 1
+
+    feature, threshold = joined("feature", np.intp), joined("threshold", float)
     leaf = feature < 0
-    offset, ids = np.repeat(roots, sizes), np.arange(feature.size)
-    child = np.empty((feature.size, 2), dtype=np.intp)
-    child[:, 0] = np.where(leaf, ids, joined("left", np.intp) + offset)
-    child[:, 1] = np.where(leaf, ids, joined("right", np.intp) + offset)
+    local = np.stack([joined("left", np.intp), joined("right", np.intp)], axis=1)
+    size = np.repeat(sizes, sizes)[:, None]
+    if n_features is not None and np.any(feature >= n_features):
+        k = np.argmax(feature >= n_features)
+        raise BoostingError(f"tree {tree_of(k)}: feature index {feature[k]} is out of "
+                            f"range for {n_features} features")
+    outside = ~leaf & np.any((local < 0) | (local >= size), axis=1)
+    if np.any(outside):
+        k = np.argmax(outside)
+        raise BoostingError(f"tree {tree_of(k)}: child index out of range for {size[k, 0]} nodes")
+    nan_split = ~leaf & np.isnan(threshold)
+    if np.any(nan_split):
+        raise BoostingError(f"tree {tree_of(np.argmax(nan_split))}: NaN threshold at a split")
+    ids = np.arange(feature.size)
+    child = np.where(leaf[:, None], ids[:, None], local + np.repeat(roots, sizes)[:, None])
     node, depth, deep = roots[~leaf[roots]], 0, None
     while node.size:
         if depth == feature.size:  # a path longer than all the nodes repeats one
-            raise BoostingError(f"tree {np.searchsorted(roots, node[0], 'right') - 1} has a cycle")
+            raise BoostingError(f"tree {tree_of(node[0])} has a cycle")
         if depth == max_depth and deep is None:
-            deep = np.searchsorted(roots, node[0], "right") - 1
+            deep = tree_of(node[0])
         node = np.unique(child[node])
         node, depth = node[~leaf[node]], depth + 1
     if deep is not None:
         raise BoostingError(f"tree {deep} is deeper than max_depth {max_depth}")
-    return (np.repeat(np.maximum(feature, 0), 2), np.repeat(joined("threshold", float), 2),
+    return (np.repeat(np.maximum(feature, 0), 2), np.repeat(threshold, 2),
             2 * child.ravel(), roots, depth)
 
 
@@ -430,22 +454,23 @@ class BoostedEnsemble:
     loss_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
     config: BoostConfig = field(default_factory=BoostConfig)
     n_features: int = 0
-    # The routing table of _compile and the step-scaled leaf values, built by
-    # load_model's check or on the first predict; the trees of a fitted or
-    # loaded model do not change.
+    # The routing table of _compile and the step-scaled leaf values, built with
+    # the model; the trees of a fitted, hand-built or loaded model do not change.
     _table: tuple = field(default=None, init=False, repr=False, compare=False)
     _scaled: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
-    def _prepare(self, max_depth=None) -> None:
-        self._table = _compile(self.trees, max_depth)
+    def __post_init__(self):
+        """Check and compile the trees: the one place an ensemble becomes usable."""
+        _check_count("n_features", self.n_features, 0)
+        if len(self.step_sizes) != len(self.trees):
+            raise BoostingError(f"{len(self.trees)} trees but {len(self.step_sizes)} step sizes")
+        self._table = _compile(self.trees, self.config.max_depth, self.n_features)
         # (eta * value)[leaf] is eta * value[leaf] bit for bit: scale once, then gather
         self._scaled = np.concatenate(
             [np.empty(0), *(eta * tree.value for eta, tree in zip(self.step_sizes, self.trees))])
 
     def predict(self, X) -> np.ndarray:
         X = _as_features(X, self.n_features, self.n_features, f"training ({self.n_features})")
-        if self._table is None:
-            self._prepare()
         out = np.full(X.shape[0], self.base_prediction)
         for rows, leaf in _route(self._table, X):
             block = out[rows]
@@ -567,43 +592,17 @@ def load_model(path) -> BoostedEnsemble:
             where = f"tree {k}: "
             trees.append(RegressionTree(**{name: td[name] for name, _ in TREE_ARRAYS}))
         where = ""
-        model = BoostedEnsemble(
+        return BoostedEnsemble(
             base_prediction=float(doc["base_prediction"]),
             trees=trees,
             step_sizes=[float(v) for v in doc["step_sizes"]],
             loss_spec=LossSpec(**loss_doc),
             loss_trace=np.asarray(doc["loss_trace"], dtype=float),
             config=BoostConfig(**config_doc),
-            n_features=int(doc["n_features"]),
+            n_features=doc["n_features"],
         )
-        _check_trees(model)
     except (KeyError, TypeError, ValueError) as exc:
         # ValueError: bad JSON or text, an out-of-range LossSpec or BoostConfig field,
-        # a non-numeric array, or a BoostingError raised above or by _check_trees.
+        # a non-numeric array, or a BoostingError raised above or by a tree or the model.
         raise BoostingError(f"{path}: malformed model file: {where}{exc}") from None
-    return model
 
-
-def _check_trees(model: BoostedEnsemble) -> None:
-    """Compile a loaded model's trees, or raise BoostingError if one cannot be routed.
-
-    A tree must have equal-length 1-D arrays, split only on the model's features,
-    point its internal nodes at nodes that exist, have no cycle, and be no
-    deeper than the model's max_depth; each tree needs its own step size.
-    """
-    if len(model.step_sizes) != len(model.trees):
-        raise BoostingError(f"{len(model.trees)} trees but {len(model.step_sizes)} step sizes")
-    for k, tree in enumerate(model.trees):
-        n = tree.feature.size
-        if n == 0 or any(getattr(tree, name).shape != (n,) for name, _ in TREE_ARRAYS):
-            raise BoostingError(f"tree {k}: node arrays are empty or of unequal length")
-        inner = tree.feature >= 0
-        if np.any(tree.feature >= model.n_features):
-            raise BoostingError(f"tree {k}: feature index {tree.feature.max()} is out of "
-                                f"range for {model.n_features} features")
-        children = np.concatenate([tree.left[inner], tree.right[inner]])
-        if np.any((children < 0) | (children >= n)):
-            raise BoostingError(f"tree {k}: child index out of range for {n} nodes")
-        if np.any(np.isnan(tree.threshold[inner])):
-            raise BoostingError(f"tree {k}: NaN threshold at a split")
-    model._prepare(model.config.max_depth)

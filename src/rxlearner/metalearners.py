@@ -290,9 +290,8 @@ def load_meta(bundle_dir) -> FittedCate:
     try:
         with open(manifest_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise MetaLearnerError(f"{manifest_path}: cannot read manifest: {exc}") from None
-    try:
+        if not isinstance(manifest, dict):
+            raise ValueError(f"expected a JSON object, got {json.dumps(manifest)[:40]}")
         if manifest["manifest_version"] != MANIFEST_VERSION:
             raise ValueError(f"unsupported manifest version {manifest['manifest_version']!r}")
         kind, parts = manifest["kind"], manifest["parts"]
@@ -309,10 +308,11 @@ def load_meta(bundle_dir) -> FittedCate:
                              f"propensity_constant {p_const!r}: expected {sorted(needed)}")
         v0, v1 = (float(v) for v in manifest["arm_variance"])
         aggregation = AggregationScheme(**manifest["aggregation"])
-    except KeyError as exc:
-        raise MetaLearnerError(f"{manifest_path}: malformed manifest: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise MetaLearnerError(f"{manifest_path}: malformed manifest: {exc}") from None
+    except OSError as exc:
+        raise MetaLearnerError(f"{manifest_path}: cannot read manifest: {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        cause = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise MetaLearnerError(f"{manifest_path}: malformed manifest: {cause}") from None
     loaded = {name: load_model(os.path.join(bundle_dir, f"{name}.json")) for name in sorted(needed)}
     return FittedCate(kind=kind, arm_variance=(v0, v1), propensity_constant=p_const,
                       aggregation=aggregation, **loaded)

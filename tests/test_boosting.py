@@ -537,10 +537,19 @@ class TestBoostConfig:
         dict(learning_rate=1.5),
         dict(max_depth=0),
         dict(min_samples_leaf=0),
+        dict(max_depth=2.5),
+        dict(n_rounds=2.5),
     ])
     def test_validation(self, bad):
         with pytest.raises(BoostingError):
             BoostConfig(**bad)
+
+    @pytest.mark.parametrize("name", ["n_rounds", "max_depth", "min_samples_leaf"])
+    @pytest.mark.parametrize("value", [3.0, 2.5, True, "3"])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(BoostingError, match=f"^{name} must be an integer$"):
+            BoostConfig(**{name: value})
+        assert getattr(BoostConfig(**{name: np.int64(3)}), name) == 3
 
 
 class TestFitBoosted:
@@ -733,6 +742,8 @@ class TestModelIO:
         (lambda doc: doc["config"].__setitem__("max_depth", 2), "tree 0 is deeper than max_depth 2"),
         (lambda doc: doc["trees"][0]["feature"].__setitem__(0, 0.7), "tree 0: feature holds non-integer"),
         (lambda doc: doc["trees"][0]["left"].__setitem__(0, 1.5), "tree 0: left holds non-integer"),
+        (lambda doc: doc["config"].__setitem__("max_depth", 2.5), "max_depth must be an integer"),
+        (lambda doc: doc.__setitem__("n_features", 3.9), "n_features must be an integer"),
     ])
     def test_unroutable_tree_rejected(self, tmp_path, edit, message):
         rng = np.random.default_rng(9)
@@ -749,6 +760,53 @@ class TestModelIO:
         path.write_text(json.dumps(doc))
         with pytest.raises(BoostingError, match=f"m.json: malformed model file: {message}"):
             load_model(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda parts: parts["trees"][0]["left"].__setitem__(0, 0), "tree 0 has a cycle"),
+        (lambda parts: parts["trees"][1]["right"].__setitem__(1, 0), "tree 1 has a cycle"),
+        (lambda parts: parts["trees"][2]["feature"].__setitem__(0, 40), "tree 2: feature index 40"),
+        (lambda parts: parts["step_sizes"].pop(), "4 trees but 3 step sizes"),
+        (lambda parts: parts["trees"][3]["right"].__setitem__(0, 99), "tree 3: child index out of range"),
+        (lambda parts: parts["trees"][0]["left"].__setitem__(0, -1), "tree 0: child index out of range"),
+        (lambda parts: parts["trees"][2]["threshold"].__setitem__(0, np.nan), "tree 2: NaN threshold"),
+        (lambda parts: parts.update(config=BoostConfig(max_depth=2)), "tree 0 is deeper than max_depth 2"),
+        (lambda parts: parts.update(n_features=3.9), "n_features must be an integer"),
+        (lambda parts: parts.update(n_features=-1), "n_features must be >= 0"),
+    ])
+    def test_in_memory_model_checked_like_a_file(self, edit, message):
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(200, 3))
+        model = fit_boosted(X, X[:, 0] * X[:, 1] + X[:, 2], LossSpec(kind=SQUARED),
+                            BoostConfig(n_rounds=4, max_depth=3))
+        assert len(model.trees) == 4 and all(np.all(t.feature[:2] >= 0) for t in model.trees)
+        parts = dict(base_prediction=model.base_prediction, step_sizes=list(model.step_sizes),
+                     config=model.config, n_features=model.n_features,
+                     trees=[{name: getattr(tree, name).copy() for name, _ in boosting.TREE_ARRAYS}
+                            for tree in model.trees])
+        edit(parts)
+        trees = [RegressionTree(**arrays) for arrays in parts.pop("trees")]
+        with pytest.raises(BoostingError, match=message):
+            BoostedEnsemble(trees=trees, **parts)
+
+    def test_tree_predict_checks_its_children(self):
+        # Unchecked, -1 wraps to the last node: the row at 0.0 would get 1.0, not -1.0.
+        tree = RegressionTree(feature=np.array([1, -1, -1]), threshold=np.array([0.5, np.nan, np.nan]),
+                              left=np.array([-1, -1, -1]), right=np.array([2, -1, -1]),
+                              value=np.array([0.0, -1.0, 1.0]))
+        with pytest.raises(BoostingError, match="tree 0: child index out of range for 3 nodes"):
+            tree.predict(np.array([[0.0, 0.0], [0.0, 1.0]]))
+        tree.left[0] = 99
+        with pytest.raises(BoostingError, match="tree 0: child index out of range for 3 nodes"):
+            tree.predict(np.array([[0.0, 0.0]]))
+
+    @pytest.mark.parametrize("arrays", [
+        dict(feature=[-1], threshold=[np.nan], left=[-1], right=[-1], value=[0.0, 1.0]),
+        dict(feature=[], threshold=[], left=[], right=[], value=[]),
+        dict(feature=[[-1]], threshold=[[np.nan]], left=[[-1]], right=[[-1]], value=[[0.0]]),
+    ])
+    def test_tree_arrays_are_nonempty_and_of_one_length(self, arrays):
+        with pytest.raises(BoostingError, match="node arrays are empty or of unequal length"):
+            RegressionTree(**arrays)
 
 
 class TestLogisticBoosting:

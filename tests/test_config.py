@@ -56,6 +56,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"learners\[0\]\.boost: unknown keys \['seed'\]"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("key", ["n_rounds", "max_depth", "min_samples_leaf"])
+    def test_fractional_boost_count_rejected(self, key):
+        doc = dict(MINIMAL, learners=[{"kind": "rx", "boost": {key: 2.5}}])
+        with pytest.raises(ConfigError, match=rf"learners\[0\]\.boost: {key} must be an integer"):
+            parse_config(doc)
+
     def test_duplicate_learner_names_rejected(self):
         doc = dict(MINIMAL, learners=[{"name": "a", "kind": "rx"},
                                       {"name": "a", "kind": "mse_x"}])

@@ -348,6 +348,19 @@ class TestBundleIO:
         with pytest.raises(MetaLearnerError):
             load_meta(tmp_path / "nope")
 
+    @pytest.mark.parametrize("text", ["[1]", "null"])
+    def test_manifest_not_an_object(self, tmp_path, text):
+        (tmp_path / "manifest.json").write_text(text)
+        with pytest.raises(MetaLearnerError) as err:
+            load_meta(tmp_path)
+        assert str(err.value) == (f"{tmp_path / 'manifest.json'}: malformed manifest: "
+                                  f"expected a JSON object, got {text}")
+
+    def test_manifest_that_is_not_json(self, tmp_path):
+        (tmp_path / "manifest.json").write_text("{not json")
+        with pytest.raises(MetaLearnerError, match="manifest.json: malformed manifest: Expecting"):
+            load_meta(tmp_path)
+
 
 SHARED_INDEX_SPECS = {
     "t": t_spec, "mse_x": mse_x_spec, "rx": rx_spec, "dr_clipped": dr_clipped_spec,
@@ -394,11 +407,11 @@ class TestCompileOnce:
             model = fit_meta(data, spec)  # imputation and arm variances predict with four parts
             want = predict_cate(model, data.features)
             assert predict_cate(model, data.features).tobytes() == want.tobytes()
-        assert compile_.call_count == 5  # mu0, mu1, tau0, tau1, propensity_model: on first use
+        assert compile_.call_count == 5  # mu0, mu1, tau0, tau1, propensity_model: as each is fit
         save_meta(model, tmp_path / "bundle")
         with mock.patch.object(boosting, "_compile", wraps=boosting._compile) as compile_:
             loaded = load_meta(tmp_path / "bundle")
             first = predict_cate(loaded, data.features)
             second = predict_cate(loaded, data.features)
-        assert compile_.call_count == 5  # by load_meta's check, kept for every predict
+        assert compile_.call_count == 5  # as load_meta builds each part, kept for every predict
         assert first.tobytes() == second.tobytes() == want.tobytes()
