@@ -8,7 +8,7 @@ the Huber variant plateaus, and the robust X-Learner barely moves.
 from rxlearner import (
     ContaminationSpec,
     ScenarioSpec,
-    huber_x_spec,
+    learner_spec,
     mse_x_spec,
     rx_spec,
     smearing_study,
@@ -22,7 +22,7 @@ spec = ScenarioSpec(
     contamination=ContaminationSpec(rate=0.0),
     seed=11,
 )
-learners = {"mse_x": mse_x_spec(), "huber_x": huber_x_spec(), "rx": rx_spec()}
+learners = {"mse_x": mse_x_spec(), "huber_x": learner_spec("huber_x"), "rx": rx_spec()}
 
 report = smearing_study(spec, magnitudes=[0, 100, 1000], learners=learners)
 

@@ -31,18 +31,16 @@ from .boosting import (
 from .metalearners import (
     AggregationScheme,
     FittedCate,
+    LEARNERS,
     MetaLearnerSpec,
-    dr_clipped_spec,
     fit_meta,
-    huber_x_spec,
     impute_pseudo_outcomes,
+    learner_spec,
     load_meta,
     mse_x_spec,
     predict_cate,
     rx_spec,
     save_meta,
-    t_spec,
-    winsorized_x_spec,
 )
 from .config import ConfigError, RunConfig, list_presets, load_config, parse_config, preset_path
 from .evaluation import (

@@ -84,6 +84,8 @@ class BoostingError(ValueError):
 #: schema of its fields and of its entry in a model file.
 TREE_ARRAYS = (("feature", np.int64), ("threshold", np.float64), ("left", np.int64),
                ("right", np.int64), ("value", np.float64))
+#: The integer fields of a :class:`BoostConfig` and their least values.
+BOOST_COUNTS = {"n_rounds": 0, "max_depth": 1, "min_samples_leaf": 1}
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,7 @@ class BoostConfig:
     min_samples_leaf: int = 5
 
     def __post_init__(self):
-        for name, low in (("n_rounds", 0), ("max_depth", 1), ("min_samples_leaf", 1)):
+        for name, low in BOOST_COUNTS.items():
             _check_count(name, getattr(self, name), low)
         if not 0.0 < self.learning_rate <= 1.0:
             raise BoostingError("learning_rate must lie in (0, 1]")
@@ -255,9 +257,11 @@ def _best_splits(xs, ts, ws, config: BoostConfig):
     from prefix sums; ``np.cumsum`` along a row adds sequentially, so each
     row's sums equal those of a 1-D search. Every expression keeps the order of
     its operations, so writing through ``out=`` gives each gain the same
-    double. A row with no valid split gets gain -inf. Ties on gain resolve to
-    the lowest threshold (argmax picks the first position in ascending
-    threshold order).
+    double. A row with no valid split gets gain -inf, and so does a row whose
+    best gain is at most 1e-12 of its sum of w*t*t: the gain is a difference of
+    such sums, so below that it is rounding noise, in any unit of the targets.
+    Ties on gain resolve to the lowest threshold (argmax picks the first
+    position in ascending threshold order).
     """
     wt = ws * ts
     cw = np.cumsum(ws, axis=1, out=ws)
@@ -291,7 +295,9 @@ def _best_splits(xs, ts, ws, config: BoostConfig):
     gain[~valid] = -np.inf
     rows = np.arange(xs.shape[0])
     best = np.argmax(gain, axis=1)
-    return gain[rows, best], 0.5 * (xs[rows, best + lo] + xs[rows, best + lo + 1])
+    best_gain = gain[rows, best]
+    best_gain[best_gain <= 1e-12 * total_wt2[:, 0]] = -np.inf
+    return best_gain, 0.5 * (xs[rows, best + lo] + xs[rows, best + lo + 1])
 
 
 def _offsets(o, j0, n):
@@ -413,7 +419,7 @@ def fit_tree(X, targets, instance_weights, config: BoostConfig, *,
         left.append(-1)
         right.append(-1)
         value.append(0.0)
-        best_gain, best_feat, best_thr = 1e-12, -1, np.nan
+        best_gain, best_feat, best_thr = -np.inf, -1, np.nan
         if depth < config.max_depth and idx.size >= 2 * config.min_samples_leaf:
             block = max(1, SEARCH_CELLS // idx.size)
             for j0 in range(0, d, block):
@@ -551,19 +557,21 @@ def predict_proba(model: BoostedEnsemble, features) -> np.ndarray:
 
 
 def save_model(model: BoostedEnsemble, path) -> None:
+    config = asdict(model.config)
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
-        "base_prediction": model.base_prediction,
+        "base_prediction": float(model.base_prediction),
         "step_sizes": list(map(float, model.step_sizes)),
         "loss_spec": asdict(model.loss_spec),
-        "config": asdict(model.config),
-        "n_features": model.n_features,
+        "config": {**config, **{name: int(config[name]) for name in BOOST_COUNTS}},
+        "n_features": int(model.n_features),
         "loss_trace": [float(v) for v in model.loss_trace],
         "trees": [{name: getattr(tree, name).tolist() for name, _ in TREE_ARRAYS}
                   for tree in model.trees],
     }
+    text = json.dumps(doc)  # before the file is opened, so a failure leaves no partial file
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(text)
 
 
 def load_model(path) -> BoostedEnsemble:

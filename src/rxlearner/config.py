@@ -12,16 +12,14 @@ from typing import Dict, List, Optional
 
 from .boosting import BoostConfig
 from .datasets import ScenarioSpec, SemiSyntheticSpec
+from .losses import GAMMA_WELSCH, HUBER
 from .metalearners import (
     AGG_FIXED,
+    LEARNERS,
+    STAGE3_PARTS,
     AggregationScheme,
     MetaLearnerSpec,
-    dr_clipped_spec,
-    huber_x_spec,
-    mse_x_spec,
-    rx_spec,
-    t_spec,
-    winsorized_x_spec,
+    learner_spec,
 )
 
 CONFIG_VERSION = 1
@@ -45,15 +43,6 @@ _TOP_KEYS = {
     "curve_n", "curve_outliers",
 }
 _SURROGATE_KEYS = {"rows", "cols", "seed"}
-
-_LEARNER_FACTORIES = {
-    "rx": rx_spec,
-    "mse_x": mse_x_spec,
-    "huber_x": huber_x_spec,
-    "winsorized_x": winsorized_x_spec,
-    "dr_clipped": dr_clipped_spec,
-    "t": t_spec,
-}
 
 
 @dataclass
@@ -155,33 +144,30 @@ def _build_learner(doc: dict, index: int, errors: list):
     if not _check_keys(doc, _LEARNER_KEYS, where, errors):
         return None
     kind = doc.get("kind")
-    if not isinstance(kind, str) or kind not in _LEARNER_FACTORIES:
+    if not isinstance(kind, str) or kind not in LEARNERS:
         errors.append(f"{where}.kind: unknown learner kind {kind!r}")
         return None
-    for key, read, why in (
-        ("gamma", kind == "rx", "only meaningful for the rx learner"),
-        ("delta_multiplier", kind == "huber_x", "only meaningful for the huber_x learner"),
-        ("aggregation", kind not in ("t", "dr_clipped"), f"not read by the {kind} learner"),
-        ("g", doc.get("aggregation") == AGG_FIXED, "only meaningful with aggregation: fixed"),
+    spec_kind, loss_kind, _ = LEARNERS[kind]
+    for key, read, unless in (
+        ("gamma", loss_kind == GAMMA_WELSCH, ""),
+        ("delta_multiplier", loss_kind == HUBER, ""),
+        ("aggregation", spec_kind not in STAGE3_PARTS, ""),  # read by the X kinds only
+        ("g", doc.get("aggregation") == AGG_FIXED, " without aggregation: fixed"),
     ):
         if key in doc and not read:
-            errors.append(f"{where}.{key}: {why}")
+            errors.append(f"{where}.{key}: not read by the {kind} learner{unless}")
     boost = (_build_spec(BoostConfig, doc.get("boost", {}), f"{where}.boost", errors)
              or BoostConfig())
     try:
-        spec = _LEARNER_FACTORIES[kind](boost_config=boost)
         loss = {key: float(doc[key]) for key in ("gamma", "delta_multiplier") if key in doc}
-        updates = {"loss": replace(spec.loss, **loss)} if loss else {}
+        spec = learner_spec(kind, boost, **loss)
+        updates = {"propensity": doc["propensity"]} if "propensity" in doc else {}
         if "aggregation" in doc:
-            updates["aggregation"] = AggregationScheme(
-                kind=doc["aggregation"], g=float(doc.get("g", 0.5))
-            )
-        if "propensity" in doc:
-            updates["propensity"] = doc["propensity"]
-        if "propensity_value" in doc and doc["propensity_value"] is not None:
+            updates["aggregation"] = AggregationScheme(doc["aggregation"],
+                                                       float(doc.get("g", 0.5)))
+        if doc.get("propensity_value") is not None:
             updates["propensity_value"] = float(doc["propensity_value"])
-        if updates:
-            spec = replace(spec, **updates)
+        spec = replace(spec, **updates)
     except (TypeError, ValueError) as exc:
         errors.append(f"{where}: {exc}")
         return None

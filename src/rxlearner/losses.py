@@ -61,13 +61,13 @@ class LossSpec:
         return self.delta_multiplier * self.scale
 
 
-def mad_scale(residuals, floor: float = SCALE_FLOOR) -> float:
-    """1.4826 * median absolute deviation, floored to guard against implosion."""
+def mad_scale(residuals) -> float:
+    """1.4826 * median absolute deviation, floored at SCALE_FLOOR to guard against implosion."""
     r = np.asarray(residuals, dtype=float)
     if r.size == 0:
         raise ValueError("mad_scale requires a nonempty residual vector")
     mad = np.median(np.abs(r - np.median(r)))
-    return max(1.4826 * mad, floor)
+    return max(1.4826 * mad, SCALE_FLOOR)
 
 
 def welsch_weight(r, spec: LossSpec):

@@ -42,7 +42,7 @@ VARIANCE_FLOOR = 1e-16
 
 MANIFEST_VERSION = 1
 # bundle parts beside mu0/mu1 (and propensity_model when fitted); every X kind has tau0/tau1
-_STAGE3_PARTS = {KIND_T: (), KIND_DR: ("final_model",)}
+STAGE3_PARTS = {KIND_T: (), KIND_DR: ("final_model",)}
 
 
 class MetaLearnerError(ValueError):
@@ -81,46 +81,30 @@ class MetaLearnerSpec:
             raise MetaLearnerError(f"unknown propensity mode {self.propensity!r}")
 
 
+#: Each learner a config can name: its spec kind, its loss kind and its aggregation.
+LEARNERS = {
+    "rx": (KIND_RX, GAMMA_WELSCH, AggregationScheme(AGG_INVERSE_VARIANCE)),
+    "mse_x": (KIND_X, SQUARED, AggregationScheme(AGG_PROPENSITY)),
+    "huber_x": (KIND_X, HUBER, AggregationScheme(AGG_PROPENSITY)),
+    "winsorized_x": (KIND_WINSORIZED_X, SQUARED, AggregationScheme(AGG_PROPENSITY)),
+    "dr_clipped": (KIND_DR, SQUARED, AggregationScheme(AGG_FIXED, g=1.0)),
+    "t": (KIND_T, SQUARED, AggregationScheme(AGG_FIXED, g=0.5)),
+}
+
+
+def learner_spec(name: str, boost_config: BoostConfig = BoostConfig(), **loss) -> MetaLearnerSpec:
+    """The spec of the learner ``name`` of :data:`LEARNERS`; ``loss`` sets LossSpec fields."""
+    kind, loss_kind, aggregation = LEARNERS[name]
+    return MetaLearnerSpec(kind=kind, loss=LossSpec(kind=loss_kind, **loss),
+                           aggregation=aggregation, boost_config=boost_config)
+
+
 def rx_spec(gamma: float = 0.2, boost_config: BoostConfig = BoostConfig()) -> MetaLearnerSpec:
-    return MetaLearnerSpec(
-        kind=KIND_RX, loss=LossSpec(kind=GAMMA_WELSCH, gamma=gamma),
-        aggregation=AggregationScheme(AGG_INVERSE_VARIANCE), boost_config=boost_config,
-    )
+    return learner_spec("rx", boost_config, gamma=gamma)
 
 
 def mse_x_spec(boost_config: BoostConfig = BoostConfig()) -> MetaLearnerSpec:
-    return MetaLearnerSpec(
-        kind=KIND_X, loss=LossSpec(kind=SQUARED),
-        aggregation=AggregationScheme(AGG_PROPENSITY), boost_config=boost_config,
-    )
-
-
-def huber_x_spec(boost_config: BoostConfig = BoostConfig()) -> MetaLearnerSpec:
-    return MetaLearnerSpec(
-        kind=KIND_X, loss=LossSpec(kind=HUBER),
-        aggregation=AggregationScheme(AGG_PROPENSITY), boost_config=boost_config,
-    )
-
-
-def winsorized_x_spec(boost_config: BoostConfig = BoostConfig()) -> MetaLearnerSpec:
-    return MetaLearnerSpec(
-        kind=KIND_WINSORIZED_X, loss=LossSpec(kind=SQUARED),
-        aggregation=AggregationScheme(AGG_PROPENSITY), boost_config=boost_config,
-    )
-
-
-def dr_clipped_spec(boost_config: BoostConfig = BoostConfig()) -> MetaLearnerSpec:
-    return MetaLearnerSpec(
-        kind=KIND_DR, loss=LossSpec(kind=SQUARED),
-        aggregation=AggregationScheme(AGG_FIXED, g=1.0), boost_config=boost_config,
-    )
-
-
-def t_spec(boost_config: BoostConfig = BoostConfig()) -> MetaLearnerSpec:
-    return MetaLearnerSpec(
-        kind=KIND_T, loss=LossSpec(kind=SQUARED),
-        aggregation=AggregationScheme(AGG_FIXED, g=0.5), boost_config=boost_config,
-    )
+    return learner_spec("mse_x", boost_config)
 
 
 @dataclass
@@ -298,7 +282,7 @@ def load_meta(bundle_dir) -> FittedCate:
         if kind not in LEARNER_KINDS:
             raise ValueError(f"unknown learner kind {kind!r}")
         p_const = manifest["propensity_constant"]
-        needed = {"mu0", "mu1", *_STAGE3_PARTS.get(kind, ("tau0", "tau1"))}
+        needed = {"mu0", "mu1", *STAGE3_PARTS.get(kind, ("tau0", "tau1"))}
         if p_const is None:
             needed.add("propensity_model")
         else:

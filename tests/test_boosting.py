@@ -160,6 +160,8 @@ def reference_fit_tree(X, t, w, config):
         total_sse = total_wt2 - total_wt * total_wt / total_w
         gain = np.where(valid, total_sse - (sse_l + sse_r), -np.inf)
         best = int(np.argmax(gain))
+        if gain[best] <= 1e-12 * total_wt2:  # rounding noise at the scale of the sums
+            return -np.inf, np.nan
         return float(gain[best]), float(0.5 * (xs[best] + xs[best + 1]))
 
     def build(idx, depth):
@@ -172,7 +174,7 @@ def reference_fit_tree(X, t, w, config):
         value.append(float(np.sum(ws * ts) / np.sum(ws)))
         if depth >= config.max_depth or idx.size < 2 * config.min_samples_leaf:
             return node
-        best_gain, best_feat, best_thr = 1e-12, -1, np.nan
+        best_gain, best_feat, best_thr = -np.inf, -1, np.nan
         for j in range(X.shape[1]):
             gain, thr = best_split(X[idx, j], ts, ws)
             if gain > best_gain:
@@ -677,6 +679,28 @@ class TestModelIO:
             for name, _ in boosting.TREE_ARRAYS:
                 got, want = getattr(tree, name), getattr(saved, name)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("model", [
+        BoostedEnsemble(base_prediction=0.0, n_features=np.int64(2)),
+        BoostedEnsemble(base_prediction=np.float32(0.5), config=BoostConfig(
+            n_rounds=np.int64(3), max_depth=np.int32(2), min_samples_leaf=np.int64(1))),
+    ], ids=["n_features", "config_counts"])
+    def test_numpy_scalars_round_trip(self, tmp_path, model):
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        back = load_model(path)
+        assert back.config == model.config and back.n_features == model.n_features
+        assert back.base_prediction == model.base_prediction
+
+    def test_failed_save_writes_nothing(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text("before")
+        # json cannot encode a float32, so the document fails before the file is opened
+        model = BoostedEnsemble(base_prediction=0.0,
+                                config=BoostConfig(min_child_weight=np.float32(1.0)))
+        with pytest.raises(TypeError, match="float32"):
+            save_model(model, path)
+        assert path.read_text() == "before"
 
     def test_wrong_version_rejected(self, tmp_path):
         path = tmp_path / "m.json"

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import pytest
 
+from rxlearner.boosting import BoostConfig
 from rxlearner.config import (
     ConfigError,
     list_presets,
@@ -9,6 +10,7 @@ from rxlearner.config import (
     parse_config,
     preset_path,
 )
+from rxlearner.metalearners import LEARNERS, learner_spec
 
 MINIMAL = {
     "version": 1,
@@ -137,6 +139,11 @@ class TestParseConfig:
     def test_learner_keys_only_where_read(self, learner, key):
         with pytest.raises(ConfigError, match=rf"learners\[0\]\.{key}: "):
             parse_config(dict(MINIMAL, learners=[learner]))
+
+    @pytest.mark.parametrize("name", sorted(LEARNERS))
+    def test_every_learner_kind_parses_to_its_table_spec(self, name):
+        cfg = parse_config(dict(MINIMAL, learners=[{"kind": name}]))
+        assert cfg.learners == {name: learner_spec(name, BoostConfig())}
 
     def test_huber_delta_multiplier_sets_the_one_loss(self):
         cfg = parse_config(dict(MINIMAL, learners=[{"kind": "huber_x", "delta_multiplier": 2.0}]))

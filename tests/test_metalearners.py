@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -9,24 +10,22 @@ from rxlearner.boosting import BoostConfig, BoostedEnsemble
 from rxlearner.datasets import CausalDataset, ContaminationSpec, ScenarioSpec, generate_synthetic
 from rxlearner.losses import GAMMA_WELSCH, LOGISTIC, SQUARED, LossSpec
 from rxlearner.metalearners import (
+    LEARNERS,
     AggregationScheme,
     FittedCate,
     MetaLearnerError,
     MetaLearnerSpec,
     aggregation_weights,
-    dr_clipped_spec,
     estimate_arm_variance,
     fit_meta,
     fit_propensity,
-    huber_x_spec,
     impute_pseudo_outcomes,
+    learner_spec,
     load_meta,
     mse_x_spec,
     predict_cate,
     rx_spec,
     save_meta,
-    t_spec,
-    winsorized_x_spec,
 )
 
 FAST = BoostConfig(n_rounds=60)
@@ -49,11 +48,14 @@ class TestSpecs:
     def test_factories(self):
         assert rx_spec().loss.kind == GAMMA_WELSCH
         assert rx_spec(gamma=0.5).loss.gamma == 0.5
+        assert rx_spec(gamma=0.5) == learner_spec("rx", gamma=0.5)
         assert mse_x_spec().aggregation.kind == "propensity"
-        assert huber_x_spec().loss.kind == "huber"
-        assert winsorized_x_spec().kind == "winsorized_x"
-        assert dr_clipped_spec().kind == "dr_clipped"
-        assert t_spec().kind == "t"
+        assert mse_x_spec() == learner_spec("mse_x")
+        assert learner_spec("huber_x").loss.kind == "huber"
+        assert learner_spec("huber_x", delta_multiplier=2.0).loss.delta_multiplier == 2.0
+        assert learner_spec("winsorized_x").kind == "winsorized_x"
+        assert learner_spec("dr_clipped").kind == "dr_clipped"
+        assert learner_spec("t").kind == "t"
 
     @pytest.mark.parametrize("kind", ["t", "x", "rx", "dr_clipped", "winsorized_x"])
     def test_logistic_loss_rejected_for_outcome_models(self, kind):
@@ -206,7 +208,7 @@ class TestFitMeta:
         )
         data = generate_synthetic(spec)
         cfg = BoostConfig(n_rounds=150)
-        t_pred = predict_cate(fit_meta(data, t_spec(boost_config=cfg)), data.features)
+        t_pred = predict_cate(fit_meta(data, learner_spec("t", cfg)), data.features)
         x_pred = predict_cate(fit_meta(data, mse_x_spec(boost_config=cfg)), data.features)
         assert np.max(np.abs(t_pred - x_pred)) < 0.1
 
@@ -224,14 +226,14 @@ class TestFitMeta:
         )
         data = generate_synthetic(spec)
         plain = fit_meta(data, mse_x_spec(boost_config=FAST))
-        wins = fit_meta(data, winsorized_x_spec(boost_config=FAST))
+        wins = fit_meta(data, learner_spec("winsorized_x", FAST))
         err_plain = np.sqrt(np.mean((predict_cate(plain, data.features) - data.true_cate) ** 2))
         err_wins = np.sqrt(np.mean((predict_cate(wins, data.features) - data.true_cate) ** 2))
         assert err_wins < err_plain
 
     def test_dr_clipped_runs_and_uses_final_model(self):
         data = balanced_dataset(n=300, seed=4)
-        model = fit_meta(data, dr_clipped_spec(boost_config=FAST))
+        model = fit_meta(data, learner_spec("dr_clipped", FAST))
         assert model.final_model is not None
         tau = predict_cate(model, data.features)
         assert tau.shape == (300,) and np.all(np.isfinite(tau))
@@ -243,7 +245,7 @@ class TestFitMeta:
         np.testing.assert_array_equal(a, b)
 
 
-INVARIANT_SPECS = {"rx": rx_spec, "mse_x": mse_x_spec, "huber_x": huber_x_spec}
+INVARIANT_LEARNERS = ("huber_x", "mse_x", "rx")
 EPS = np.finfo(float).eps
 
 
@@ -256,22 +258,69 @@ def invariant_data():
 def fitted_cate(data, learner, outcome=None):
     if outcome is not None:
         data = replace(data, outcome=outcome)
-    spec = INVARIANT_SPECS[learner](boost_config=BoostConfig(n_rounds=20))
-    return predict_cate(fit_meta(data, spec), data.features)
+    return predict_cate(fit_meta(data, learner_spec(learner, BoostConfig(n_rounds=20))),
+                        data.features)
+
+
+@pytest.fixture(scope="module")
+def whale_data():
+    """Pareto whales in both arms; an absolute split-gain floor stops splits here below 2**-20."""
+    return generate_synthetic(ScenarioSpec(n=1000, treated_fraction=0.2, seed=3,
+                                           contamination=ContaminationSpec(rate=0.1,
+                                                                           tail_arm="both")))
+
+
+@pytest.fixture(scope="module")
+def whale_cate(whale_data):
+    """Each learner's CATE on whale_data at outcome scale 2**k; the fits are shared."""
+    cache = {}
+
+    def cate(learner, k):
+        if (learner, k) not in cache:
+            data = replace(whale_data, outcome=whale_data.outcome * 2.0 ** k)
+            spec = learner_spec(learner, BoostConfig(n_rounds=30))
+            cache[learner, k] = predict_cate(fit_meta(data, spec), data.features)
+        return cache[learner, k]
+    return cate
 
 
 class TestInvariants:
     """Properties the estimator has exactly in real arithmetic; the tolerances
     allow a few dozen units of rounding at the scale of the values compared."""
 
-    @pytest.mark.parametrize("learner", sorted(INVARIANT_SPECS))
+    # Multiplying by a power of two is exact, so every fit is the same fit in other
+    # units. Below 2**-20 the MAD scale of rx and huber_x reaches losses.SCALE_FLOOR
+    # (and rx's arm variances VARIANCE_FLOOR), so those cases are not listed.
+    @pytest.mark.parametrize("learner, k", [
+        *(("mse_x", k) for k in (-40, -30, -20, 20, 40)),
+        *((learner, k) for learner in ("huber_x", "rx") for k in (-20, 20, 40)),
+    ])
+    def test_power_of_two_outcome_scale_is_exact(self, whale_cate, learner, k):
+        assert (whale_cate(learner, k) / 2.0 ** k).tobytes() == whale_cate(learner, 0).tobytes()
+
+    @pytest.mark.parametrize("learner", ["t", *INVARIANT_LEARNERS])
+    def test_swapping_arms_negates_cate(self, invariant_data, learner):
+        # The arms trade places and the propensity p becomes 1 - p. The T-learner's
+        # mu1 - mu0 negates exactly; the X-learners weigh tau0 and tau1 by g and 1 - g.
+        data = invariant_data
+        swapped = replace(data, treatment=1 - data.treatment,
+                          true_propensity=1.0 - data.true_propensity)
+        spec = learner_spec(learner, BoostConfig(n_rounds=20))
+        base = predict_cate(fit_meta(data, spec), data.features)
+        got = predict_cate(fit_meta(swapped, spec), data.features)
+        if learner == "t":
+            assert got.tobytes() == (-base).tobytes()
+        else:
+            assert np.max(np.abs(got + base)) <= 64 * EPS * np.max(np.abs(base))
+
+    @pytest.mark.parametrize("learner", INVARIANT_LEARNERS)
     @pytest.mark.parametrize("k", [10.0, 1e-3])
     def test_scaling_outcomes_scales_cate(self, invariant_data, learner, k):
         base = fitted_cate(invariant_data, learner)
         scaled = fitted_cate(invariant_data, learner, invariant_data.outcome * k)
         assert np.max(np.abs(scaled - k * base)) <= 64 * EPS * np.max(np.abs(k * base))
 
-    @pytest.mark.parametrize("learner", sorted(INVARIANT_SPECS))
+    @pytest.mark.parametrize("learner", INVARIANT_LEARNERS)
     @pytest.mark.parametrize("c", [1e3, -7.5])
     def test_shifting_outcomes_leaves_cate(self, invariant_data, learner, c):
         base = fitted_cate(invariant_data, learner)
@@ -279,20 +328,31 @@ class TestInvariants:
         y_max = np.max(np.abs(invariant_data.outcome))
         assert np.max(np.abs(shifted - base)) <= 64 * EPS * (abs(c) + y_max)
 
-    @pytest.mark.parametrize("learner", sorted(INVARIANT_SPECS))
+    @pytest.mark.parametrize("learner", INVARIANT_LEARNERS)
     def test_permuting_rows_leaves_cate(self, invariant_data, learner):
         # Holds to rounding, not bit for bit: tied feature values and the sums
         # over them are visited in another order.
         data = invariant_data
         perm = np.random.default_rng(0).permutation(data.n_units)
         permuted = CausalDataset(data.features[perm], data.treatment[perm], data.outcome[perm])
-        spec = INVARIANT_SPECS[learner](boost_config=BoostConfig(n_rounds=20))
-        got = predict_cate(fit_meta(permuted, spec), data.features)
+        got = predict_cate(fit_meta(permuted, learner_spec(learner, BoostConfig(n_rounds=20))),
+                           data.features)
         base = fitted_cate(data, learner)
         assert np.max(np.abs(got - base)) <= 64 * EPS * np.max(np.abs(base))
 
 
 class TestBundleIO:
+    @pytest.mark.parametrize("name", sorted(LEARNERS))
+    def test_every_learner_round_trips_bit_exact(self, tmp_path, name):
+        data = balanced_dataset(n=200, seed=6)
+        model = fit_meta(data, learner_spec(name, BoostConfig(n_rounds=20)))
+        save_meta(model, tmp_path / "bundle")
+        back = load_meta(tmp_path / "bundle")
+        assert (predict_cate(back, data.features).tobytes()
+                == predict_cate(model, data.features).tobytes())
+        assert (back.kind, back.arm_variance, back.aggregation) == (
+            model.kind, model.arm_variance, model.aggregation)
+
     def test_round_trip_predictions(self, tmp_path):
         data = balanced_dataset(n=200, seed=6)
         model = fit_meta(data, rx_spec(boost_config=FAST))
@@ -306,7 +366,7 @@ class TestBundleIO:
 
     def test_t_learner_bundle_has_no_stage3(self, tmp_path):
         data = balanced_dataset(n=200, seed=7)
-        model = fit_meta(data, t_spec(boost_config=FAST))
+        model = fit_meta(data, learner_spec("t", FAST))
         save_meta(model, tmp_path / "bundle")
         back = load_meta(tmp_path / "bundle")
         assert back.tau0 is None and back.tau1 is None
@@ -317,7 +377,7 @@ class TestBundleIO:
     def test_wrong_manifest_version(self, tmp_path):
         import json
         data = balanced_dataset(n=200, seed=8)
-        model = fit_meta(data, t_spec(boost_config=FAST))
+        model = fit_meta(data, learner_spec("t", FAST))
         save_meta(model, tmp_path / "bundle")
         manifest = tmp_path / "bundle" / "manifest.json"
         doc = json.loads(manifest.read_text())
@@ -363,15 +423,15 @@ class TestBundleIO:
 
 
 SHARED_INDEX_SPECS = {
-    "t": t_spec, "mse_x": mse_x_spec, "rx": rx_spec, "dr_clipped": dr_clipped_spec,
-    "winsorized_x": winsorized_x_spec,
+    **{name: partial(learner_spec, name) for name in LEARNERS},
     "rx_fitted_propensity": lambda boost_config: replace(rx_spec(boost_config=boost_config),
                                                          propensity="fitted"),
 }
 # Fits on one matrix each: stage 1 (2), then stage 3 (2) or dr's final model
 # (1), plus the propensity when it is fitted. The fits on the full matrix
 # (dr's final model, the propensity) index it themselves.
-FITS = {"t": 2, "mse_x": 4, "rx": 4, "dr_clipped": 3, "winsorized_x": 4, "rx_fitted_propensity": 5}
+FITS = {"t": 2, "mse_x": 4, "huber_x": 4, "rx": 4, "dr_clipped": 3, "winsorized_x": 4,
+        "rx_fitted_propensity": 5}
 FULL_MATRIX_FITS = {"dr_clipped": 1, "rx_fitted_propensity": 1}
 
 
