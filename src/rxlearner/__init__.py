@@ -22,7 +22,6 @@ from .boosting import (
     BoostedEnsemble,
     FeatureIndex,
     RegressionTree,
-    feature_index,
     fit_boosted,
     fit_tree,
     load_model,

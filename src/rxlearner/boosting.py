@@ -9,16 +9,17 @@ training loss does not increase, backtracking the step size otherwise. The
 loop reads the loss kind only to check that logistic labels are 0 or 1.
 
 Trees are grown by the exact presorted split search (the sorted column blocks
-of XGBoost, Chen & Guestrin, KDD 2016, section 4.1). A :class:`FeatureIndex`
-is a matrix, held as a column-major copy, together with its sort by every
-feature. It is passed wherever features are, so the matrix and its sort travel
-as one object, and every fit passed one index reuses its sort. A node keeps,
-per feature, its rows in that feature's order, reads their values, targets and
-weights with ``take`` gathers, and scores all cut points of a block of
-features from prefix sums in :func:`_best_splits`. The trees are the
-same bit for bit as sorting each node's rows stably: the prefix sums add the
-same values in the same order, and every gain is computed by the same
-sequence of operations.
+of XGBoost, Chen & Guestrin, KDD 2016, section 4.1). ``FeatureIndex(features)``
+checks a matrix by prediction's rule (2-D, finite) and holds it as a
+column-major copy together with its sort by every feature. An index is passed
+wherever features are, so the matrix and its sort travel as one object; every
+fit passed one index reuses its sort, and a fit passed a matrix indexes it
+first. A node keeps, per feature, its rows in that feature's order, reads
+their values, targets and weights with ``take`` gathers, and scores all cut
+points of a block of features from prefix sums in :func:`_best_splits`. The
+trees are the same bit for bit as sorting each node's rows stably: the prefix
+sums add the same values in the same order, and every gain is computed by the
+same sequence of operations.
 
 Prediction compiles the trees first. :func:`_compile` joins an ensemble's
 pre-order trees into one routing table and turns every leaf into a node that
@@ -309,39 +310,25 @@ def _offsets(o, j0, n):
     return o + np.arange(j0 * n, (j0 + o.shape[0]) * n, n, dtype=np.intp)[:, None]
 
 
-def _feature_order(X: np.ndarray) -> np.ndarray:
-    """Stable argsort of every column of X, as a contiguous (d, n) int32 array.
-
-    Row j lists the row indices in ascending order of feature j, ties in
-    ascending row order.
-    """
-    n, d = X.shape
-    order = np.empty((d, n), dtype=np.int32)
-    for j in range(d):
-        order[j] = np.argsort(X[:, j], kind="stable")
-    return order
-
-
-@dataclass(frozen=True, eq=False)
 class FeatureIndex:
     """An (n, d) feature matrix together with its presorted split-search index.
 
-    ``columns`` is the matrix in column-major layout: a C-contiguous (d, n)
-    copy whose row j is feature j, so a node reads one feature's values from
-    one contiguous column. ``order`` is the (d, n) int32 argsort of
-    :func:`_feature_order`. Together they take 12 bytes per cell. An index is
-    itself a valid ``features`` argument: numpy reads it as the matrix it
-    indexes, and :func:`fit_tree` and :func:`fit_boosted` reuse its sort. A
-    meta-learner fits one arm's matrix several times, so it sorts it once.
+    ``FeatureIndex(features)`` checks the matrix as prediction does (2-D and
+    finite) and keeps two (d, n) arrays, 12 bytes per cell: ``columns``, the
+    matrix in column-major layout, a C-contiguous copy whose row j is feature j,
+    so a node reads one feature's values from one contiguous column; and
+    ``order``, whose row j is the stable int32 argsort of feature j (ties in
+    ascending row order). An index is itself a valid ``features`` argument:
+    numpy reads it as the matrix it indexes, and :func:`fit_tree` and
+    :func:`fit_boosted` reuse its sort. A meta-learner fits one arm's matrix
+    several times, so it sorts it once.
     """
 
-    columns: np.ndarray
-    order: np.ndarray
-
-    def __post_init__(self):
-        if self.columns.ndim != 2 or self.order.shape != self.columns.shape:
-            raise BoostingError(f"feature index columns of shape {self.columns.shape} "
-                                f"and order of shape {self.order.shape} do not match")
+    def __init__(self, features):
+        self.columns = np.ascontiguousarray(_as_features(features, 0, None, "an (n, d) matrix").T)
+        self.order = np.empty(self.columns.shape, dtype=np.int32)
+        for j, column in enumerate(self.columns):
+            self.order[j] = np.argsort(column, kind="stable")
 
     def __array__(self, dtype=None, copy=None):
         """The indexed (n, d) matrix: the Fortran-ordered view ``columns.T``.
@@ -356,15 +343,6 @@ class FeatureIndex:
         return matrix.astype(dtype, copy=bool(copy))
 
 
-def feature_index(features) -> FeatureIndex:
-    """Build the :class:`FeatureIndex` of an (n, d) feature matrix."""
-    X = np.asarray(features, dtype=float)
-    if X.ndim != 2:
-        raise BoostingError(f"features of shape {X.shape} are not a matrix")
-    columns = np.ascontiguousarray(X.T)
-    return FeatureIndex(columns=columns, order=_feature_order(columns.T))
-
-
 def fit_tree(X, targets, instance_weights, config: BoostConfig, *,
              leaves=None) -> RegressionTree:
     """Greedy top-down weighted CART; each split maximizes weighted-SSE reduction.
@@ -374,9 +352,10 @@ def fit_tree(X, targets, instance_weights, config: BoostConfig, *,
     the lowest feature index, then the lowest threshold.
 
     X is a feature matrix or its :class:`FeatureIndex`; a matrix is indexed
-    here. Each node splits its per-feature sorted row lists stably instead of
-    sorting again (the exact presorted method), so every prefix sum adds in
-    the same order as a per-node stable sort would. A node searches its
+    here, which rejects non-finite features, as non-finite targets and weights
+    are rejected. Each node splits its per-feature sorted row lists stably
+    instead of sorting again (the exact presorted method), so every prefix sum
+    adds in the same order as a per-node stable sort would. A node searches its
     features in blocks of up to ``SEARCH_CELLS`` cells with one
     :func:`_best_splits` call per block. The block's feature values come from
     one flat ``take`` on the index's column-major copy at the intp offsets of
@@ -386,13 +365,16 @@ def fit_tree(X, targets, instance_weights, config: BoostConfig, *,
     training row's leaf node, so ``tree.value[leaves]`` equals
     ``tree.predict(X)`` bit for bit without routing the rows again.
     """
-    index = X if isinstance(X, FeatureIndex) else feature_index(X)
+    index = X if isinstance(X, FeatureIndex) else FeatureIndex(X)
     columns, order = index.columns, index.order
     d, n = columns.shape
     t = np.asarray(targets, dtype=float)
     w = np.asarray(instance_weights, dtype=float)
     if t.shape != (n,) or w.shape != t.shape:
         raise BoostingError("features, targets, and weights must have matching lengths")
+    for name, values in (("targets", t), ("weights", w)):
+        if not np.all(np.isfinite(values)):
+            raise BoostingError(f"{name} contain non-finite values")
     if np.any(w < 0) or not np.any(w > 0):
         raise BoostingError("weights must be nonnegative with at least one positive")
     w = np.maximum(w, WEIGHT_FLOOR)
@@ -508,12 +490,10 @@ def fit_boosted(features, targets, loss: LossSpec, config: BoostConfig) -> Boost
         raise BoostingError("targets contain non-finite values")
     if loss.kind == LOGISTIC and not np.all(np.isin(y, (0.0, 1.0))):
         raise BoostingError("labels must be binary")
-    index = features if isinstance(features, FeatureIndex) else feature_index(features)
+    index = features if isinstance(features, FeatureIndex) else FeatureIndex(features)
     d, n = index.columns.shape
     if n != y.size:
         raise BoostingError("features and targets must have matching lengths")
-    if not np.all(np.isfinite(index.columns)):
-        raise BoostingError("features contain non-finite values")
 
     f0, spec = _start(y, loss)
     F = np.full(y.size, f0)
@@ -556,20 +536,26 @@ def predict_proba(model: BoostedEnsemble, features) -> np.ndarray:
     return np.clip(1.0 / (1.0 + np.exp(-logits)), PROPENSITY_CLIP, 1.0 - PROPENSITY_CLIP)
 
 
+def _json_value(value):
+    """``json.dumps`` default: a numpy scalar or array as its Python value(s)."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def save_model(model: BoostedEnsemble, path) -> None:
-    config = asdict(model.config)
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
-        "base_prediction": float(model.base_prediction),
-        "step_sizes": list(map(float, model.step_sizes)),
+        "base_prediction": model.base_prediction,
+        "step_sizes": model.step_sizes,
         "loss_spec": asdict(model.loss_spec),
-        "config": {**config, **{name: int(config[name]) for name in BOOST_COUNTS}},
-        "n_features": int(model.n_features),
-        "loss_trace": [float(v) for v in model.loss_trace],
-        "trees": [{name: getattr(tree, name).tolist() for name, _ in TREE_ARRAYS}
-                  for tree in model.trees],
+        "config": asdict(model.config),
+        "n_features": model.n_features,
+        "loss_trace": model.loss_trace,
+        "trees": [{name: getattr(tree, name) for name, _ in TREE_ARRAYS} for tree in model.trees],
     }
-    text = json.dumps(doc)  # before the file is opened, so a failure leaves no partial file
+    # built before the file is opened, so a failure leaves no partial file
+    text = json.dumps(doc, default=_json_value)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 

@@ -14,7 +14,8 @@ from .boosting import (
     PROPENSITY_CLIP,
     BoostConfig,
     BoostedEnsemble,
-    feature_index,
+    FeatureIndex,
+    _json_value,
     fit_boosted,
     load_model,
     predict_proba,
@@ -180,7 +181,7 @@ def fit_meta(data: CausalDataset, spec: MetaLearnerSpec) -> FittedCate:
     """Fit a meta-learner end to end on one dataset.
 
     Each arm's matrix is sorted once: stage 1 and stage 3 fit on the same arm
-    matrices, so every fit on an arm is passed its :func:`feature_index`. The
+    matrices, so every fit on an arm is passed its :class:`FeatureIndex`. The
     propensity and dr_clipped's final model each fit the full matrix once.
     """
     cfg = spec.boost_config
@@ -190,7 +191,7 @@ def fit_meta(data: CausalDataset, spec: MetaLearnerSpec) -> FittedCate:
         data = winsorize_outcomes(data, 0.01, 0.99)
 
     treated, control = data.treated_idx, data.control_idx
-    Xt, Xc = feature_index(data.features[treated]), feature_index(data.features[control])
+    Xt, Xc = FeatureIndex(data.features[treated]), FeatureIndex(data.features[control])
     mu0 = fit_boosted(Xc, data.outcome[control], spec.loss, cfg)
     mu1 = fit_boosted(Xt, data.outcome[treated], spec.loss, cfg)
 
@@ -248,25 +249,32 @@ def predict_cate(model: FittedCate, features) -> np.ndarray:
 # --- bundle serialization ----------------------------------------------------
 
 def save_meta(model: FittedCate, bundle_dir) -> None:
-    """Persist a fitted meta-learner as a directory of model files + manifest."""
+    """Persist a fitted meta-learner as a directory of model files + manifest.
+
+    The old manifest goes before any part is written and the new one comes last,
+    so a failed save leaves no manifest to load, never a mix of old and new parts.
+    """
     os.makedirs(bundle_dir, exist_ok=True)
     parts = {"mu0": model.mu0, "mu1": model.mu1}
     for name in ("tau0", "tau1", "final_model", "propensity_model"):
         part = getattr(model, name)
         if part is not None:
             parts[name] = part
-    for name, part in parts.items():
-        save_model(part, os.path.join(bundle_dir, f"{name}.json"))
-    manifest = {
+    manifest = json.dumps({
         "manifest_version": MANIFEST_VERSION,
         "kind": model.kind,
         "parts": sorted(parts),
-        "arm_variance": list(model.arm_variance),
+        "arm_variance": model.arm_variance,
         "propensity_constant": model.propensity_constant,
         "aggregation": {"kind": model.aggregation.kind, "g": model.aggregation.g},
-    }
-    with open(os.path.join(bundle_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
+    }, indent=2, default=_json_value)
+    manifest_path = os.path.join(bundle_dir, "manifest.json")
+    if os.path.exists(manifest_path):
+        os.remove(manifest_path)
+    for name, part in parts.items():
+        save_model(part, os.path.join(bundle_dir, f"{name}.json"))
+    with open(manifest_path, "w", encoding="utf-8") as fh:
+        fh.write(manifest)
 
 
 def load_meta(bundle_dir) -> FittedCate:

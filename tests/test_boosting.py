@@ -1,4 +1,5 @@
 from dataclasses import replace
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -131,6 +132,24 @@ class TestFitTree:
         with pytest.raises(BoostingError):
             fit_tree(np.ones((3, 1)), np.ones(3), -np.ones(3), BoostConfig())
 
+    @pytest.mark.parametrize("cells", [[(3, 0, np.nan), (8, 1, np.inf)], [(5, 1, -np.inf)]])
+    def test_non_finite_features_rejected(self, cells):
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(40, 2))
+        for row, col, bad in cells:
+            X[row, col] = bad
+        with pytest.raises(BoostingError, match="features contain non-finite values"):
+            fit_tree(X, rng.normal(size=40), np.ones(40), BoostConfig())
+
+    @pytest.mark.parametrize("name, bad", [("targets", np.nan), ("targets", np.inf),
+                                           ("weights", np.nan), ("weights", np.inf)])
+    def test_non_finite_targets_and_weights_rejected(self, name, bad):
+        rng = np.random.default_rng(7)
+        inputs = {"targets": rng.normal(size=40), "weights": np.ones(40)}
+        inputs[name][11] = bad
+        with pytest.raises(BoostingError, match=f"{name} contain non-finite values"):
+            fit_tree(rng.normal(size=(40, 2)), inputs["targets"], inputs["weights"], BoostConfig())
+
 
 def reference_fit_tree(X, t, w, config):
     """Weighted CART that stably argsorts every feature at every node.
@@ -237,7 +256,7 @@ class TestPresortedSplitSearch:
         X = np.round(rng.normal(size=(300, 4)), 1)
         t = rng.normal(size=300)
         w = rng.uniform(0.0, 2.0, size=300)
-        index = boosting.feature_index(X)
+        index = boosting.FeatureIndex(X)
         leaves, index_leaves = np.empty(300, np.int64), np.empty(300, np.int64)
         a = fit_tree(X, t, w, BoostConfig(max_depth=4), leaves=leaves)
         b = fit_tree(index, t, w, BoostConfig(max_depth=4), leaves=index_leaves)
@@ -298,7 +317,7 @@ class TestFeatureIndex:
     def test_shared_index_gives_the_same_fits(self, problem):
         X, t, _, config = problem
         config = replace(config, n_rounds=6)
-        index = boosting.feature_index(X)
+        index = boosting.FeatureIndex(X)
         columns, order = index.columns.copy(), index.order.copy()
         labels = (t > np.median(t)).astype(float)
         for kind, y in ((SQUARED, t), (HUBER, t), (GAMMA_WELSCH, t), (LOGISTIC, labels)):
@@ -312,13 +331,13 @@ class TestFeatureIndex:
 
     def test_index_holds_the_columns_and_their_order(self):
         X = np.array([[3.0, 0.5], [1.0, 0.5], [2.0, -1.0]])
-        index = boosting.feature_index(X)
+        index = boosting.FeatureIndex(X)
         assert index.columns.flags.c_contiguous and index.columns.tolist() == X.T.tolist()
         assert index.order.dtype == np.int32 and index.order.tolist() == [[1, 2, 0], [2, 0, 1]]
 
     def test_index_reads_as_its_matrix_without_a_copy(self):
         X = np.array([[3.0, 0.5], [1.0, 0.5], [2.0, -1.0]])
-        index = boosting.feature_index(X)
+        index = boosting.FeatureIndex(X)
         matrix = np.asarray(index)
         assert matrix.shape == (3, 2) and matrix.tolist() == X.tolist()
         assert np.shares_memory(matrix, index.columns) and matrix.flags.f_contiguous
@@ -329,11 +348,16 @@ class TestFeatureIndex:
         with pytest.raises(ValueError, match="needs a copy"):
             index.__array__(np.float32, copy=False)
 
-    def test_index_parts_of_different_shapes_rejected(self):
-        with pytest.raises(BoostingError, match=r"\(2, 6\) and order of shape \(2, 5\)"):
-            boosting.FeatureIndex(columns=np.zeros((2, 6)), order=np.zeros((2, 5), np.int32))
-        with pytest.raises(BoostingError, match="not a matrix"):
-            boosting.feature_index(np.arange(6.0))
+    def test_index_of_a_non_matrix_rejected(self):
+        with pytest.raises(BoostingError, match=r"feature count \? does not match an \(n, d\) matrix"):
+            boosting.FeatureIndex(np.arange(6.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_index_of_non_finite_features_rejected(self, bad):
+        X = np.arange(80.0).reshape(40, 2)
+        X[7, 1] = bad
+        with pytest.raises(BoostingError, match="features contain non-finite values"):
+            boosting.FeatureIndex(X)
 
     def test_offsets_do_not_wrap_past_int32(self):
         # Rows of columns 1 and 2 of a (3, 2**31) matrix: int32 arithmetic would wrap.
@@ -684,21 +708,24 @@ class TestModelIO:
         BoostedEnsemble(base_prediction=0.0, n_features=np.int64(2)),
         BoostedEnsemble(base_prediction=np.float32(0.5), config=BoostConfig(
             n_rounds=np.int64(3), max_depth=np.int32(2), min_samples_leaf=np.int64(1))),
-    ], ids=["n_features", "config_counts"])
+        BoostedEnsemble(base_prediction=0.0, config=BoostConfig(min_child_weight=np.float32(1.0)),
+                        loss_spec=LossSpec(gamma=np.float32(0.5))),
+    ], ids=["n_features", "config_counts", "float32_config_and_loss"])
     def test_numpy_scalars_round_trip(self, tmp_path, model):
         path = tmp_path / "m.json"
         save_model(model, path)
         back = load_model(path)
         assert back.config == model.config and back.n_features == model.n_features
         assert back.base_prediction == model.base_prediction
+        assert back.loss_spec == model.loss_spec
 
     def test_failed_save_writes_nothing(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("before")
-        # json cannot encode a float32, so the document fails before the file is opened
+        # json cannot encode a Decimal, so the document fails before the file is opened
         model = BoostedEnsemble(base_prediction=0.0,
-                                config=BoostConfig(min_child_weight=np.float32(1.0)))
-        with pytest.raises(TypeError, match="float32"):
+                                config=BoostConfig(min_child_weight=Decimal("1.0")))
+        with pytest.raises(TypeError, match="Decimal is not JSON serializable"):
             save_model(model, path)
         assert path.read_text() == "before"
 
@@ -865,7 +892,7 @@ def reference_fit_logistic(X, z, config):
     f0 = float(np.log(p0 / (1 - p0)))
     F = np.full(z.size, f0)
     trees, steps, trace = [], [], []
-    index = boosting.feature_index(X)
+    index = boosting.FeatureIndex(X)
     leaves = np.empty(z.size, dtype=np.int64)
     for _ in range(config.n_rounds):
         p = 1.0 / (1.0 + np.exp(-F))

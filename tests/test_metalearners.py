@@ -1,4 +1,5 @@
 from dataclasses import replace
+from decimal import Decimal
 from functools import partial
 from unittest import mock
 
@@ -404,6 +405,18 @@ class TestBundleIO:
         assert (predict_cate(back, data.features).tobytes()
                 == predict_cate(model, data.features).tobytes())
 
+    def test_failed_resave_leaves_no_bundle_to_load(self, tmp_path):
+        data = balanced_dataset(n=200, seed=6)
+        save_meta(fit_meta(data, rx_spec(boost_config=FAST)), tmp_path)
+        new = fit_meta(data, mse_x_spec(boost_config=FAST))
+        # mu0 is written, then mu1's document cannot be encoded
+        new.mu1 = replace(new.mu1, config=replace(new.mu1.config, min_child_weight=Decimal(1)))
+        with pytest.raises(TypeError, match="Decimal"):
+            save_meta(new, tmp_path)
+        with pytest.raises(MetaLearnerError) as err:
+            load_meta(tmp_path)  # not the new mu0 beside the old mu1, tau0 and tau1
+        assert str(err.value).startswith(f"{tmp_path / 'manifest.json'}: cannot read manifest")
+
     def test_missing_bundle(self, tmp_path):
         with pytest.raises(MetaLearnerError):
             load_meta(tmp_path / "nope")
@@ -444,18 +457,21 @@ class TestSharedFeatureIndex:
         spec = SHARED_INDEX_SPECS[learner](boost_config=BoostConfig(n_rounds=20))
 
         def fit(arm_index):
-            with mock.patch.object(boosting, "feature_index",
-                                   wraps=boosting.feature_index) as built_in_fit:
-                with mock.patch.object(metalearners, "feature_index",
-                                       side_effect=arm_index) as built_per_arm:
-                    cate = predict_cate(fit_meta(invariant_data, spec), invariant_data.features)
-            return cate, built_per_arm.call_count, built_in_fit.call_count
+            # Count every index built by wrapping __init__: the fits test
+            # isinstance(X, boosting.FeatureIndex), so the class itself stays.
+            init = boosting.FeatureIndex.__init__
+            with mock.patch.object(boosting.FeatureIndex, "__init__", autospec=True,
+                                   side_effect=init) as built, \
+                    mock.patch.object(metalearners, "FeatureIndex",
+                                      side_effect=arm_index) as built_per_arm:
+                cate = predict_cate(fit_meta(invariant_data, spec), invariant_data.features)
+            return cate, built_per_arm.call_count, built.call_count
 
-        shared, arms, in_fits = fit(boosting.feature_index)
-        assert (arms, in_fits) == (2, FULL_MATRIX_FITS.get(learner, 0))
+        shared, arms, built = fit(boosting.FeatureIndex)
+        assert (arms, built - arms) == (2, FULL_MATRIX_FITS.get(learner, 0))
         # Pass each arm's matrix on as it is, so every fit builds its own index.
-        rebuilt, arms, in_fits = fit(lambda X: X)
-        assert (arms, in_fits) == (2, FITS[learner])
+        rebuilt, arms, built = fit(lambda X: X)
+        assert (arms, built) == (2, FITS[learner])
         assert shared.tobytes() == rebuilt.tobytes()
 
 
