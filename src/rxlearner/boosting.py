@@ -47,7 +47,15 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .losses import LOGISTIC, WEIGHT_FLOOR, LossSpec, _objective, _start, _working_response
+from .losses import (
+    LOGISTIC,
+    WEIGHT_FLOOR,
+    LossSpec,
+    _check_real,
+    _objective,
+    _start,
+    _working_response,
+)
 
 MODEL_FORMAT_VERSION = 1
 
@@ -100,6 +108,8 @@ class BoostConfig:
     def __post_init__(self):
         for name, low in BOOST_COUNTS.items():
             _check_count(name, getattr(self, name), low)
+        for name in ("learning_rate", "min_child_weight"):
+            _check_real(name, getattr(self, name), BoostingError)
         if not 0.0 < self.learning_rate <= 1.0:
             raise BoostingError("learning_rate must lie in (0, 1]")
         if self.min_child_weight < 0:

@@ -203,9 +203,12 @@ def parse_config(doc: dict) -> RunConfig:
     if doc.get("surrogate") is not None:
         if _check_keys(doc["surrogate"], _SURROGATE_KEYS, "surrogate", errors):
             surrogate = {"seed": 0, **doc["surrogate"]}
-            for k in ("rows", "cols"):
+            for k, low in (("rows", 1), ("cols", 1), ("seed", 0)):
                 if k not in surrogate:
                     errors.append(f"surrogate.{k}: required")
+                elif not _is_int(surrogate[k]) or surrogate[k] < low:
+                    errors.append(f"surrogate.{k}: must be an integer >= {low}, "
+                                  f"got {surrogate[k]!r}")
 
     learners: Dict[str, MetaLearnerSpec] = {}
     for i, ldoc in enumerate(_list_value(doc, "learners", errors)):

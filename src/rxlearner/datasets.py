@@ -7,7 +7,6 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import csv
-import itertools
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -75,6 +74,8 @@ class CausalDataset:
             tau = np.asarray(self.true_cate, dtype=float)
             if tau.shape != (n,):
                 raise DatasetError("true_cate length must match rows")
+            if not np.all(np.isfinite(tau)):
+                raise DatasetError("true_cate contains non-finite values")
             object.__setattr__(self, "true_cate", tau)
         if self.outlier_mask is not None:
             if self.true_cate is None:
@@ -160,6 +161,10 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "n_features"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DatasetError(f"{name} must be an integer")
         if self.n < 2:
             raise DatasetError("n must be >= 2")
         if not 0.0 < self.treated_fraction < 1.0:
@@ -385,10 +390,13 @@ def generate_surrogate_covariates(rows: int, cols: int, seed: int) -> np.ndarray
 
 # --- CSV serialization -------------------------------------------------------
 # Header: feature columns first (f0,...,f{d-1} when written here), then any of
-# w, y, tau_true, is_outlier; UTF-8, '.' decimal.
+# the named columns below; UTF-8, '.' decimal.
 
-#: Columns with a fixed meaning; every other column is a feature.
-NAMED_COLUMNS = ("w", "y", "tau_true", "is_outlier")
+#: Each named column and the :class:`CausalDataset` field it holds, in the order
+#: written; every other column is a feature. w and is_outlier hold 0 or 1.
+DATASET_COLUMNS = {"w": "treatment", "y": "outcome", "tau_true": "true_cate",
+                   "is_outlier": "outlier_mask"}
+BINARY_COLUMNS = ("w", "is_outlier")
 
 
 #: Rows converted to Python values at a time when writing a CSV. Converting a
@@ -417,10 +425,9 @@ def save_table_csv(path, header, columns) -> None:
 
 def save_dataset_csv(data: CausalDataset, path) -> None:
     """Write the dataset with :func:`save_table_csv`; w and is_outlier as 0/1."""
-    header = [f"f{j}" for j in range(data.n_features)] + ["w", "y"]
-    columns = list(data.features.T) + [data.treatment, data.outcome]
-    for name, column in (("tau_true", data.true_cate), ("is_outlier", data.outlier_mask)):
-        if column is not None:
+    header, columns = [f"f{j}" for j in range(data.n_features)], list(data.features.T)
+    for name, attr in DATASET_COLUMNS.items():
+        if (column := getattr(data, attr)) is not None:
             header.append(name)
             columns.append(column)
     save_table_csv(path, header, columns)
@@ -440,41 +447,45 @@ CSV_READ_BYTES = 1 << 18
 def load_table_csv(path):
     """Read a numeric CSV table as (features, named columns).
 
-    Every column other than w, y, tau_true and is_outlier is a feature, and
-    the feature columns come first. The features are a C-contiguous matrix;
-    the named columns present are returned as a dict of 1-D float arrays.
-    Rows are numbered as lines of the file, the header being row 1.
+    Every column other than the :data:`DATASET_COLUMNS` is a feature, and the
+    feature columns come first. The features are a C-contiguous matrix; the
+    named columns present are returned as a dict of 1-D float arrays. Every
+    cell must be finite, and each :data:`BINARY_COLUMNS` cell 0 or 1. Rows are
+    numbered as lines of the file, the header being row 1.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         header = next(csv.reader([fh.readline()]))
         if not header:
             raise DatasetError(f"{path}: empty file")
-        d = next((j for j, h in enumerate(header) if h in NAMED_COLUMNS), len(header))
+        d = next((j for j, h in enumerate(header) if h in DATASET_COLUMNS), len(header))
         if d == 0:
             raise DatasetError(f"{path}: no feature columns before {header[0]!r}")
-        misplaced = [h for h in header[d:] if h not in NAMED_COLUMNS]
+        misplaced = [h for h in header[d:] if h not in DATASET_COLUMNS]
         if misplaced:
             raise DatasetError(f"{path}: feature columns {misplaced} must come before {header[d]!r}")
         if len(set(header)) != len(header):
             raise DatasetError(f"{path}: duplicate column names in {header}")
+        binary = [j for j, h in enumerate(header) if h in BINARY_COLUMNS]
         lines = sum(1 for _ in fh)  # blank lines included: an upper bound on the rows
         fh.seek(0)
         fh.readline()
         features, named = np.empty((lines, d)), np.empty((len(header) - d, lines))
-        rows = 0
+        rows, line = 0, 2  # line: the file line of the block's first line
         with warnings.catch_warnings():
             # blank lines hold no data; an empty body is reported below, with the path
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             while block := fh.readlines(CSV_READ_BYTES):
                 try:
                     values = np.loadtxt(block, delimiter=",", comments=None, ndmin=2)
+                    if values.size and not (values.shape[1] == len(header)
+                                            and np.isfinite(values).all()
+                                            and np.isin(values[:, binary], (0, 1)).all()):
+                        raise ValueError("rows do not match the header")
                 except ValueError as exc:
-                    raise DatasetError(f"{path}: {_first_bad_row(path, header) or exc}") from None
+                    raise DatasetError(f"{path}: {_first_bad_row(block, line, header, exc)}") from None
+                line += len(block)
                 if values.size == 0:
                     continue
-                if values.shape[1] != len(header):
-                    raise DatasetError(
-                        f"{path}: {_first_bad_row(path, header) or 'rows do not match the header'}")
                 features[rows:rows + len(values)] = values[:, :d]
                 named[:, rows:rows + len(values)] = values[:, d:].T
                 rows += len(values)
@@ -483,25 +494,26 @@ def load_table_csv(path):
     return features[:rows], {h: named[j, :rows] for j, h in enumerate(header[d:])}
 
 
-def _data_rows(path):
-    """Yield (file line, cells) of each data row of a CSV table; blank lines hold no row."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        yield from ((reader.line_num, row) for row in reader if row)
-
-
-def _first_bad_row(path, header) -> Optional[str]:
-    """Locate the first ragged row or non-numeric cell of a table that failed to parse."""
-    for line, row in _data_rows(path):
-        if len(row) != len(header):
-            return f"row {line} has {len(row)} cells, expected {len(header)}"
-        for name, text in zip(header, row):
+def _first_bad_row(block, first, header, error) -> str:
+    """Name the first ragged row or bad cell of ``block``, lines of the file from
+    ``first`` on, each split as ``np.loadtxt`` splits it. If every cell passes, name
+    the lines and ``error`` without numpy's row, which counts data rows from 0."""
+    for line, text in enumerate(block, first):
+        cells = text.rstrip("\r\n").split(",")
+        if cells == [""]:
+            continue
+        if len(cells) != len(header):
+            return f"row {line} has {len(cells)} cells, expected {len(header)}"
+        for name, cell in zip(header, cells):
             try:
-                float(text)
+                value = float(cell)
             except ValueError:
-                return f"non-numeric cell at row {line}, column {name!r}: {text!r}"
-    return None
+                return f"non-numeric cell at row {line}, column {name!r}: {cell!r}"
+            if not np.isfinite(value):
+                return f"non-finite cell at row {line}, column {name!r}: {cell!r}"
+            if name in BINARY_COLUMNS and value not in (0.0, 1.0):
+                return f"non-binary {DATASET_COLUMNS[name]} at row {line}: {value!r}"
+    return f"rows {first}-{first + len(block) - 1}: {str(error).partition(' at row ')[0]}"
 
 
 def load_dataset_csv(path) -> CausalDataset:
@@ -510,10 +522,4 @@ def load_dataset_csv(path) -> CausalDataset:
     for required in ("w", "y"):
         if required not in named:
             raise DatasetError(f"{path}: missing required column {required!r}")
-    w = named["w"]
-    bad = np.flatnonzero((w != 0.0) & (w != 1.0))
-    if bad.size:
-        line, _ = next(itertools.islice(_data_rows(path), int(bad[0]), None))
-        raise DatasetError(f"{path}: non-binary treatment at row {line}: {float(w[bad[0]])!r}")
-    return CausalDataset(features=X, treatment=w, outcome=named["y"],
-                         true_cate=named.get("tau_true"), outlier_mask=named.get("is_outlier"))
+    return CausalDataset(X, **{DATASET_COLUMNS[h]: column for h, column in named.items()})

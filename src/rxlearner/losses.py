@@ -49,6 +49,8 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
+        for name in ("gamma", "delta_multiplier", "scale"):
+            _check_real(name, getattr(self, name), ValueError)
         if self.gamma <= 0:
             raise ValueError("gamma must be > 0")
         if self.delta_multiplier <= 0:
@@ -59,6 +61,13 @@ class LossSpec:
     @property
     def huber_delta(self) -> float:
         return self.delta_multiplier * self.scale
+
+
+def _check_real(name, value, error) -> None:
+    """Raise ``error`` unless value is a finite int, float or numpy real, not a bool."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not np.isfinite(value)):
+        raise error(f"{name} must be a finite number, got {value!r}")
 
 
 def mad_scale(residuals) -> float:

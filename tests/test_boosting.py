@@ -1,5 +1,6 @@
 from dataclasses import replace
 from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -570,6 +571,14 @@ class TestBoostConfig:
         with pytest.raises(BoostingError):
             BoostConfig(**bad)
 
+    @pytest.mark.parametrize("name", ["learning_rate", "min_child_weight"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "0.1", True, Decimal("0.1"),
+                                       Fraction(1, 10), 0.1j])
+    def test_float_fields_must_be_finite_numbers(self, name, value):
+        with pytest.raises(BoostingError, match=f"^{name} must be a finite number, got "):
+            BoostConfig(**{name: value})
+        assert getattr(BoostConfig(**{name: np.float32(0.5)}), name) == 0.5
+
     @pytest.mark.parametrize("name", ["n_rounds", "max_depth", "min_samples_leaf"])
     @pytest.mark.parametrize("value", [3.0, 2.5, True, "3"])
     def test_counts_must_be_integers(self, name, value):
@@ -723,8 +732,7 @@ class TestModelIO:
         path = tmp_path / "m.json"
         path.write_text("before")
         # json cannot encode a Decimal, so the document fails before the file is opened
-        model = BoostedEnsemble(base_prediction=0.0,
-                                config=BoostConfig(min_child_weight=Decimal("1.0")))
+        model = BoostedEnsemble(base_prediction=Decimal("1.0"))
         with pytest.raises(TypeError, match="Decimal is not JSON serializable"):
             save_model(model, path)
         assert path.read_text() == "before"

@@ -293,6 +293,14 @@ class TestExitCodes:
         assert main(["predict", str(model_dir), dataset, str(tmp_path / "preds.csv")]) == 1
         assert "mu1.json: malformed model file" in capsys.readouterr().err
 
+    def test_predict_names_a_non_finite_cell(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("rxlearner.cli.load_meta", lambda path: None)
+        features = tmp_path / "x.csv"
+        features.write_text("f0,f1,f2,f3,f4\n1,3,1,1,1\nnan,3,1,1,1\n")
+        assert main(["predict", "bundle", str(features), str(tmp_path / "preds.csv")]) == 1
+        err = capsys.readouterr().err
+        assert f"{features}: non-finite cell at row 3, column 'f0': 'nan'" in err
+
     def test_non_integer_seed_is_validation_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(TINY.replace("seed: 0", "seed: abc").replace("curve_n: 60", "curve_n: x"))
@@ -310,6 +318,11 @@ class TestExitCodes:
         ("magnitudes: [0, 50]", "magnitudes: [0, x]", "magnitudes: expected a number, got 'x'"),
         ("{name: rx, kind: rx,", "{name: [rx], kind: rx,", "learners[0].name: expected a string"),
         ("{name: rx, kind: rx,", "{name: rx, kind: [rx],", "learners[0].kind: unknown learner kind"),
+        ("  n: 120", "  n: 120.5", "scenario: n must be an integer"),
+        ("boost: {n_rounds: 20}", "boost: {n_rounds: 20, learning_rate: '0.1'}",
+         "learners[0].boost: learning_rate must be a finite number, got '0.1'"),
+        ("curve_n: 60", "curve_n: 60\nsurrogate: {rows: 300.5, cols: 4}",
+         "surrogate.rows: must be an integer >= 1, got 300.5"),
     ])
     def test_ill_typed_value_is_validation_error(self, tmp_path, capsys, old, new, message):
         cfg = tmp_path / "bad.yaml"

@@ -51,6 +51,12 @@ class TestCausalDataset:
         with pytest.raises(DatasetError):
             CausalDataset(np.ones((2, 1)), np.array([0, 1]), np.array([1.0, np.inf]))
 
+    def test_rejects_non_finite_true_cate(self):
+        # PEHE would read nan
+        with pytest.raises(DatasetError, match="true_cate contains non-finite values"):
+            CausalDataset(np.ones((3, 1)), np.array([0, 1, 1]), np.zeros(3),
+                          true_cate=np.array([np.nan, 1.0, 1.0]))
+
     def test_mask_requires_true_cate(self):
         with pytest.raises(DatasetError):
             CausalDataset(
@@ -153,6 +159,13 @@ class TestGenerateSynthetic:
             ScenarioSpec(n=2000, treated_fraction=0.0)
         with pytest.raises(DatasetError):
             ScenarioSpec(n=20, treated_fraction=0.01)
+
+    @pytest.mark.parametrize("name", ["n", "n_features"])
+    @pytest.mark.parametrize("value", [200.5, 200.0, True, "200"])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(DatasetError, match=f"^{name} must be an integer$"):
+            ScenarioSpec(**{name: value})
+        assert getattr(ScenarioSpec(**{name: np.int64(300)}), name) == 300
 
 
 class TestGenerate1d:
@@ -459,6 +472,56 @@ class TestTableReader:
         assert X.flags.c_contiguous and X.tobytes() == np.ascontiguousarray(want[:, :2]).tobytes()
         assert named["w"].tobytes() == want[:, 2].tobytes()
         assert named["y"].tobytes() == want[:, 3].tobytes()
+
+    @pytest.mark.parametrize("block_bytes", [25, 1 << 18])
+    @pytest.mark.parametrize("text, cause", [
+        # cells are split on ',' as np.loadtxt splits them: a quote is part of the cell
+        ('f0,w,y\n0.5,1,2.0\n0.2,0,1\n0.3,"1",2\n', "non-numeric cell at row 4, column 'w': '\"1\"'"),
+        ("f0,w,y\n0.5,1,2.0\n0.2,0,1\n\n0.3,0,nan\n", "non-finite cell at row 5, column 'y': 'nan'"),
+        ("f0,w,y\n0.5,1,2.0\n-inf,0,1\n", "non-finite cell at row 3, column 'f0': '-inf'"),
+        ("f0,w,y\n0.5,1,1e999\n", "non-finite cell at row 2, column 'y': '1e999'"),
+        ("f0,w,y,tau_true,is_outlier\n0.5,1,2.0,1,0\n0.2,0,1,1,2\n",
+         "non-binary outlier_mask at row 3: 2.0"),
+        # every table, not only a dataset, holds 0/1 in w
+        ("a,b,w\n0.5,1,1\n0.2,0,0.5\n", "non-binary treatment at row 3: 0.5"),
+    ])
+    def test_bad_cell_named_by_file_line_and_column(self, tmp_path, monkeypatch, block_bytes,
+                                                    text, cause):
+        monkeypatch.setattr(datasets_module, "CSV_READ_BYTES", block_bytes)
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DatasetError) as err:
+            load_table_csv(path)
+        assert str(err.value) == f"{path}: {cause}"
+
+    @pytest.mark.parametrize("block_bytes, lines", [(1, "4-5"), (1 << 18, "2-5")])
+    def test_numpy_only_rejection_names_the_block_lines(self, tmp_path, monkeypatch,
+                                                        block_bytes, lines):
+        # Python's float reads 1_0 as 10; np.loadtxt does not. Its own row number
+        # counts the block's data rows from 0, so only the file lines are given.
+        monkeypatch.setattr(datasets_module, "CSV_READ_BYTES", block_bytes)
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,w,y\n0.5,1,2.0\n0.2,0,1\n\n0.3,1,1_0\n")
+        with pytest.raises(DatasetError) as err:
+            load_table_csv(path)
+        assert str(err.value) == f"{path}: rows {lines}: could not convert string '1_0' to float64"
+
+    @pytest.mark.parametrize("text", ["f0,w,y\n0.5,1,2.0\n0.2,0,oops\n",
+                                      "f0,w,y\n0.5,1,2.0\n0.2,2,1\n"])
+    def test_failed_read_opens_the_file_once(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        with pytest.raises(DatasetError, match="row 3"):
+            load_dataset_csv(path)
+        assert opened == [path]
 
     @pytest.mark.parametrize("block_bytes", [1, 25])
     @pytest.mark.parametrize("text, cause", [

@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used by the module that makes it, and
-importing the package and its CLI loads no module that only some commands need."""
+"""Every module-level import in the package is used by the module that makes it, every
+module-level private name is read by some module of the package, and importing the
+package and its CLI loads no module that only some commands need."""
 
 import ast
 import os
@@ -36,6 +37,46 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(sources: dict) -> list:
+    """Module-level private functions, classes and constants (``_name``) of the modules
+    ``sources`` (module name -> source) that no other statement of any module reads."""
+    statements = []  # (module, line, private names bound, names read)
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [node.id for target in targets for node in ast.walk(target)
+                         if isinstance(node, ast.Name)]
+            else:
+                names = []
+            private = [n for n in names if n.startswith("_") and not n.startswith("__")]
+            read = {node.id for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            read |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+            statements.append((module, stmt.lineno, private, read))
+    return sorted(f"{module} line {line}: {name}"
+                  for k, (module, line, private, _) in enumerate(statements) for name in private
+                  if not any(name in read for j, (*_, read) in enumerate(statements) if j != k))
+
+
+def test_checker_flags_an_unread_private_name():
+    sources = {
+        "a": "_USED, _UNUSED = 1, 2\n_ALSO: int = 3\ndef _helper():\n    return _USED\n"
+             "class _Kept:\n    pass\ndef __getattr__(name):\n    pass\n",
+        "b": "from . import a\nfrom .a import _helper\nprint(_helper(), a._Kept)\n"
+             "def _recursive():\n    return _recursive()\n",
+    }
+    assert unread_private_names(sources) == ["a line 1: _UNUSED", "a line 2: _ALSO",
+                                              "b line 4: _recursive"]
+
+
+def test_every_private_name_is_read():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert unread_private_names(sources) == []
 
 
 def test_import_leaves_yaml_and_process_pools_unloaded():

@@ -1,4 +1,6 @@
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -47,6 +49,14 @@ class TestLossSpec:
     def test_rejects_invalid_parameters(self, bad):
         with pytest.raises(ValueError):
             LossSpec(**bad)
+
+    @pytest.mark.parametrize("name", ["gamma", "delta_multiplier", "scale"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "0.5", True, Decimal("0.5"),
+                                       Fraction(1, 2)])
+    def test_float_fields_must_be_finite_numbers(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number, got "):
+            LossSpec(**{name: value})
+        assert getattr(LossSpec(**{name: np.float32(0.5)}), name) == 0.5
 
 
 class TestMadScale:

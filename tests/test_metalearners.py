@@ -410,7 +410,7 @@ class TestBundleIO:
         save_meta(fit_meta(data, rx_spec(boost_config=FAST)), tmp_path)
         new = fit_meta(data, mse_x_spec(boost_config=FAST))
         # mu0 is written, then mu1's document cannot be encoded
-        new.mu1 = replace(new.mu1, config=replace(new.mu1.config, min_child_weight=Decimal(1)))
+        new.mu1 = replace(new.mu1, base_prediction=Decimal(1))
         with pytest.raises(TypeError, match="Decimal"):
             save_meta(new, tmp_path)
         with pytest.raises(MetaLearnerError) as err:
