@@ -24,8 +24,6 @@ from .boosting import (
     RegressionTree,
     fit_boosted,
     fit_tree,
-    load_model,
-    save_model,
 )
 from .metalearners import (
     AggregationScheme,

@@ -57,8 +57,6 @@ from .losses import (
     _working_response,
 )
 
-MODEL_FORMAT_VERSION = 1
-
 #: Relative slack when accepting a boosting step as non-increasing.
 DESCENT_RTOL = 1e-12
 
@@ -460,8 +458,11 @@ class BoostedEnsemble:
     def __post_init__(self):
         """Check and compile the trees: the one place an ensemble becomes usable."""
         _check_count("n_features", self.n_features, 0)
+        _check_real("base_prediction", self.base_prediction, BoostingError)
         if len(self.step_sizes) != len(self.trees):
             raise BoostingError(f"{len(self.trees)} trees but {len(self.step_sizes)} step sizes")
+        for k, eta in enumerate(self.step_sizes):
+            _check_real(f"step_sizes[{k}]", eta, BoostingError)
         self._table = _compile(self.trees, self.config.max_depth, self.n_features)
         # (eta * value)[leaf] is eta * value[leaf] bit for bit: scale once, then gather
         self._scaled = np.concatenate(
@@ -553,9 +554,9 @@ def _json_value(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def save_model(model: BoostedEnsemble, path) -> None:
-    doc = {
-        "format_version": MODEL_FORMAT_VERSION,
+def _model_doc(model: BoostedEnsemble) -> dict:
+    """The JSON document of a model; its numpy values are left to :func:`_json_value`."""
+    return {
         "base_prediction": model.base_prediction,
         "step_sizes": model.step_sizes,
         "loss_spec": asdict(model.loss_spec),
@@ -564,49 +565,26 @@ def save_model(model: BoostedEnsemble, path) -> None:
         "loss_trace": model.loss_trace,
         "trees": [{name: getattr(tree, name) for name, _ in TREE_ARRAYS} for tree in model.trees],
     }
-    # built before the file is opened, so a failure leaves no partial file
-    text = json.dumps(doc, default=_json_value)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
-def load_model(path) -> BoostedEnsemble:
-    """Read a :func:`save_model` file. Any flaw in it, unroutable trees included, raises
-    BoostingError("<path>: malformed model file: ..."); a missing file FileNotFoundError."""
-    where = ""  # names the tree being read, if any
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise BoostingError(f"expected a JSON object, got {json.dumps(doc)[:40]}")
-        version = doc.get("format_version")
-        if version != MODEL_FORMAT_VERSION:
-            raise BoostingError(f"unsupported model format version {version!r} "
-                                f"(expected {MODEL_FORMAT_VERSION})")
-        loss_doc, config_doc = {**doc["loss_spec"]}, {**doc["config"]}
-        # Older v1 files carry refresh_every, which only 0 (a fixed anchor) can mean now,
-        # and a config seed that no fit ever read.
-        refresh_every = loss_doc.pop("refresh_every", 0)
-        if refresh_every != 0:
-            raise BoostingError(f"refresh_every={refresh_every!r} is not supported; "
-                                "the scale anchor is fixed")
-        config_doc.pop("seed", None)
-        trees = []
-        for k, td in enumerate(doc["trees"]):
-            where = f"tree {k}: "
-            trees.append(RegressionTree(**{name: td[name] for name, _ in TREE_ARRAYS}))
-        where = ""
-        return BoostedEnsemble(
-            base_prediction=float(doc["base_prediction"]),
-            trees=trees,
-            step_sizes=[float(v) for v in doc["step_sizes"]],
-            loss_spec=LossSpec(**loss_doc),
-            loss_trace=np.asarray(doc["loss_trace"], dtype=float),
-            config=BoostConfig(**config_doc),
-            n_features=doc["n_features"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        # ValueError: bad JSON or text, an out-of-range LossSpec or BoostConfig field,
-        # a non-numeric array, or a BoostingError raised above or by a tree or the model.
-        raise BoostingError(f"{path}: malformed model file: {where}{exc}") from None
-
+def _model_from_doc(doc) -> BoostedEnsemble:
+    """The model of a :func:`_model_doc` document. Any flaw in it, unroutable trees
+    included, raises KeyError, TypeError or ValueError (BoostingError included); a
+    flaw in tree k's arrays is prefixed "tree k: "."""
+    if not isinstance(doc, dict):
+        raise BoostingError(f"expected a JSON object, got {json.dumps(doc)[:40]}")
+    trees = []
+    for k, arrays in enumerate(doc["trees"]):
+        try:
+            trees.append(RegressionTree(**{name: arrays[name] for name, _ in TREE_ARRAYS}))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BoostingError(f"tree {k}: {exc}") from None
+    return BoostedEnsemble(
+        base_prediction=doc["base_prediction"],
+        trees=trees,
+        step_sizes=doc["step_sizes"],
+        loss_spec=LossSpec(**doc["loss_spec"]),
+        loss_trace=np.asarray(doc["loss_trace"], dtype=float),
+        config=BoostConfig(**doc["config"]),
+        n_features=doc["n_features"],
+    )

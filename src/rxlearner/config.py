@@ -159,14 +159,11 @@ def _build_learner(doc: dict, index: int, errors: list):
     boost = (_build_spec(BoostConfig, doc.get("boost", {}), f"{where}.boost", errors)
              or BoostConfig())
     try:
-        loss = {key: float(doc[key]) for key in ("gamma", "delta_multiplier") if key in doc}
+        loss = {key: doc[key] for key in ("gamma", "delta_multiplier") if key in doc}
         spec = learner_spec(kind, boost, **loss)
-        updates = {"propensity": doc["propensity"]} if "propensity" in doc else {}
+        updates = {key: doc[key] for key in ("propensity", "propensity_value") if key in doc}
         if "aggregation" in doc:
-            updates["aggregation"] = AggregationScheme(doc["aggregation"],
-                                                       float(doc.get("g", 0.5)))
-        if doc.get("propensity_value") is not None:
-            updates["propensity_value"] = float(doc["propensity_value"])
+            updates["aggregation"] = AggregationScheme(doc["aggregation"], doc.get("g", 0.5))
         spec = replace(spec, **updates)
     except (TypeError, ValueError) as exc:
         errors.append(f"{where}: {exc}")

@@ -16,13 +16,13 @@ from .boosting import (
     BoostedEnsemble,
     FeatureIndex,
     _json_value,
+    _model_doc,
+    _model_from_doc,
     fit_boosted,
-    load_model,
     predict_proba,
-    save_model,
 )
 from .datasets import CausalDataset, winsorize_outcomes
-from .losses import GAMMA_WELSCH, SQUARED, HUBER, LOGISTIC, LossSpec, mad_scale
+from .losses import GAMMA_WELSCH, SQUARED, HUBER, LOGISTIC, LossSpec, _check_real, mad_scale
 
 KIND_T = "t"
 KIND_X = "x"
@@ -41,7 +41,7 @@ PROPENSITY_FITTED = "fitted"
 
 VARIANCE_FLOOR = 1e-16
 
-MANIFEST_VERSION = 1
+BUNDLE_FORMAT_VERSION = 2
 # bundle parts beside mu0/mu1 (and propensity_model when fitted); every X kind has tau0/tau1
 STAGE3_PARTS = {KIND_T: (), KIND_DR: ("final_model",)}
 
@@ -58,6 +58,7 @@ class AggregationScheme:
     def __post_init__(self):
         if self.kind not in AGG_KINDS:
             raise MetaLearnerError(f"unknown aggregation kind {self.kind!r}")
+        _check_real("g", self.g, MetaLearnerError)
         if self.kind == AGG_FIXED and not 0.0 <= self.g <= 1.0:
             raise MetaLearnerError("fixed aggregation weight must lie in [0, 1]")
 
@@ -80,6 +81,8 @@ class MetaLearnerSpec:
             raise MetaLearnerError("rx learner requires the gamma_welsch loss")
         if self.propensity not in (PROPENSITY_KNOWN, PROPENSITY_FITTED):
             raise MetaLearnerError(f"unknown propensity mode {self.propensity!r}")
+        if self.propensity_value is not None:
+            _check_real("propensity_value", self.propensity_value, MetaLearnerError)
 
 
 #: Each learner a config can name: its spec kind, its loss kind and its aggregation.
@@ -248,63 +251,67 @@ def predict_cate(model: FittedCate, features) -> np.ndarray:
 
 # --- bundle serialization ----------------------------------------------------
 
-def save_meta(model: FittedCate, bundle_dir) -> None:
-    """Persist a fitted meta-learner as a directory of model files + manifest.
+def save_meta(model: FittedCate, path) -> None:
+    """Persist a fitted meta-learner as one JSON file, creating missing parent directories.
 
-    The old manifest goes before any part is written and the new one comes last,
-    so a failed save leaves no manifest to load, never a mix of old and new parts.
+    The whole text is built first, written beside ``path`` and moved onto it by
+    ``os.replace``, so a failed save leaves the previous file whole.
     """
-    os.makedirs(bundle_dir, exist_ok=True)
-    parts = {"mu0": model.mu0, "mu1": model.mu1}
-    for name in ("tau0", "tau1", "final_model", "propensity_model"):
-        part = getattr(model, name)
-        if part is not None:
-            parts[name] = part
-    manifest = json.dumps({
-        "manifest_version": MANIFEST_VERSION,
+    text = json.dumps({
+        "format_version": BUNDLE_FORMAT_VERSION,
         "kind": model.kind,
-        "parts": sorted(parts),
         "arm_variance": model.arm_variance,
         "propensity_constant": model.propensity_constant,
         "aggregation": {"kind": model.aggregation.kind, "g": model.aggregation.g},
-    }, indent=2, default=_json_value)
-    manifest_path = os.path.join(bundle_dir, "manifest.json")
-    if os.path.exists(manifest_path):
-        os.remove(manifest_path)
-    for name, part in parts.items():
-        save_model(part, os.path.join(bundle_dir, f"{name}.json"))
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        fh.write(manifest)
-
-
-def load_meta(bundle_dir) -> FittedCate:
-    manifest_path = os.path.join(bundle_dir, "manifest.json")
+        "parts": {name: _model_doc(value) for name, value in vars(model).items()
+                  if isinstance(value, BoostedEnsemble)},
+    }, default=_json_value)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp = f"{path}.tmp"
     try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        if not isinstance(manifest, dict):
-            raise ValueError(f"expected a JSON object, got {json.dumps(manifest)[:40]}")
-        if manifest["manifest_version"] != MANIFEST_VERSION:
-            raise ValueError(f"unsupported manifest version {manifest['manifest_version']!r}")
-        kind, parts = manifest["kind"], manifest["parts"]
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def load_meta(path) -> FittedCate:
+    """Read a :func:`save_meta` file. Any flaw in it raises MetaLearnerError naming the
+    path and, where it lies in a part, the part and the tree."""
+    where = ""  # names the part being read, if any
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"expected a JSON object, got {json.dumps(doc)[:40]}")
+        if doc["format_version"] != BUNDLE_FORMAT_VERSION:
+            raise ValueError(f"unsupported format version {doc['format_version']!r} "
+                             f"(expected {BUNDLE_FORMAT_VERSION})")
+        kind, parts = doc["kind"], doc["parts"]
         if kind not in LEARNER_KINDS:
             raise ValueError(f"unknown learner kind {kind!r}")
-        p_const = manifest["propensity_constant"]
+        p_const = doc["propensity_constant"]
         needed = {"mu0", "mu1", *STAGE3_PARTS.get(kind, ("tau0", "tau1"))}
         if p_const is None:
             needed.add("propensity_model")
         else:
             p_const = float(p_const)
-        if not isinstance(parts, list) or sorted(map(str, parts)) != sorted(needed):
-            raise ValueError(f"parts {parts!r} do not match a {kind} bundle with "
+        got = sorted(parts) if isinstance(parts, dict) else f"of type {type(parts).__name__}"
+        if got != sorted(needed):
+            raise ValueError(f"parts {got} do not match a {kind} bundle with "
                              f"propensity_constant {p_const!r}: expected {sorted(needed)}")
-        v0, v1 = (float(v) for v in manifest["arm_variance"])
-        aggregation = AggregationScheme(**manifest["aggregation"])
+        v0, v1 = (float(v) for v in doc["arm_variance"])
+        aggregation = AggregationScheme(**doc["aggregation"])
+        loaded = {}
+        for name in sorted(needed):
+            where = f"part {name}: "
+            loaded[name] = _model_from_doc(parts[name])
     except OSError as exc:
-        raise MetaLearnerError(f"{manifest_path}: cannot read manifest: {exc}") from None
+        raise MetaLearnerError(f"{path}: cannot read bundle: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
         cause = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise MetaLearnerError(f"{manifest_path}: malformed manifest: {cause}") from None
-    loaded = {name: load_model(os.path.join(bundle_dir, f"{name}.json")) for name in sorted(needed)}
+        raise MetaLearnerError(f"{path}: malformed bundle: {where}{cause}") from None
     return FittedCate(kind=kind, arm_variance=(v0, v1), propensity_constant=p_const,
                       aggregation=aggregation, **loaded)

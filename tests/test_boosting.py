@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -15,9 +16,7 @@ from rxlearner.boosting import (
     RegressionTree,
     fit_boosted,
     fit_tree,
-    load_model,
     predict_proba,
-    save_model,
 )
 from rxlearner.datasets import generate_1d_qualitative
 from rxlearner.losses import (
@@ -694,15 +693,21 @@ class TestFitBoosted:
         assert model.loss_trace[-1] == loss_value(y - model.predict(X), model.loss_spec)
 
 
+def doc_round_trip(model, edit=lambda doc: None):
+    """The model rebuilt from its document's JSON text, as a bundle stores it, after
+    ``edit`` changes the parsed document."""
+    doc = json.loads(json.dumps(boosting._model_doc(model), default=boosting._json_value))
+    edit(doc)
+    return boosting._model_from_doc(doc)
+
+
 class TestModelIO:
-    def test_round_trip_bit_exact(self, tmp_path):
+    def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(120, 3))
         y = X[:, 0] ** 2 + rng.normal(size=120)
         model = fit_boosted(X, y, LossSpec(kind=GAMMA_WELSCH), BoostConfig(n_rounds=25))
-        path = tmp_path / "m.json"
-        save_model(model, path)
-        back = load_model(path)
+        back = doc_round_trip(model)
         np.testing.assert_array_equal(back.predict(X), model.predict(X))
         np.testing.assert_array_equal(back.loss_trace, model.loss_trace)
         assert back.loss_spec == model.loss_spec
@@ -720,74 +725,28 @@ class TestModelIO:
         BoostedEnsemble(base_prediction=0.0, config=BoostConfig(min_child_weight=np.float32(1.0)),
                         loss_spec=LossSpec(gamma=np.float32(0.5))),
     ], ids=["n_features", "config_counts", "float32_config_and_loss"])
-    def test_numpy_scalars_round_trip(self, tmp_path, model):
-        path = tmp_path / "m.json"
-        save_model(model, path)
-        back = load_model(path)
+    def test_numpy_scalars_round_trip(self, model):
+        back = doc_round_trip(model)
         assert back.config == model.config and back.n_features == model.n_features
         assert back.base_prediction == model.base_prediction
         assert back.loss_spec == model.loss_spec
 
-    def test_failed_save_writes_nothing(self, tmp_path):
-        path = tmp_path / "m.json"
-        path.write_text("before")
-        # json cannot encode a Decimal, so the document fails before the file is opened
-        model = BoostedEnsemble(base_prediction=Decimal("1.0"))
-        with pytest.raises(TypeError, match="Decimal is not JSON serializable"):
-            save_model(model, path)
-        assert path.read_text() == "before"
-
-    def test_wrong_version_rejected(self, tmp_path):
-        path = tmp_path / "m.json"
-        X = np.ones((10, 1))
-        model = fit_boosted(X, np.arange(10.0), LossSpec(kind=SQUARED), BoostConfig(n_rounds=1))
-        save_model(model, path)
-        import json
-        doc = json.loads(path.read_text())
-        doc["format_version"] = 99
-        path.write_text(json.dumps(doc))
-        with pytest.raises(BoostingError, match="version"):
-            load_model(path)
-
-    @pytest.mark.parametrize("refresh_every", [0, 5])
-    def test_v1_file_with_refresh_every(self, tmp_path, refresh_every):
-        # v1 files written before refresh_every was removed carry the key, always as 0.
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["loss_spec"].update(refresh_every=0), "unexpected keyword.*refresh_every"),
+        (lambda doc: doc["config"].update(seed=7), "unexpected keyword.*seed"),
+    ], ids=["refresh_every", "config_seed"])
+    def test_removed_keys_rejected(self, edit, message):
+        # Keys of older model documents name fields that no longer exist.
         X = np.arange(20.0).reshape(10, 2)
         model = fit_boosted(X, np.arange(10.0), LossSpec(kind=GAMMA_WELSCH), BoostConfig(n_rounds=3))
-        path = tmp_path / "m.json"
-        save_model(model, path)
-        import json
-        doc = json.loads(path.read_text())
-        doc["loss_spec"]["refresh_every"] = refresh_every
-        path.write_text(json.dumps(doc))
-        if refresh_every:
-            with pytest.raises(BoostingError, match="refresh_every=5"):
-                load_model(path)
-        else:
-            back = load_model(path)
-            assert back.loss_spec == model.loss_spec
-            np.testing.assert_array_equal(back.predict(X), model.predict(X))
+        with pytest.raises(TypeError, match=message):
+            doc_round_trip(model, edit)
 
-    def test_v1_file_with_config_seed(self, tmp_path):
-        # v1 files written before BoostConfig.seed was removed carry it in their config.
-        X = np.arange(20.0).reshape(10, 2)
-        model = fit_boosted(X, np.arange(10.0), LossSpec(kind=GAMMA_WELSCH), BoostConfig(n_rounds=3))
-        path = tmp_path / "m.json"
-        save_model(model, path)
-        import json
-        doc = json.loads(path.read_text())
-        assert "seed" not in doc["config"]
-        doc["config"]["seed"] = 7
-        path.write_text(json.dumps(doc))
-        back = load_model(path)
-        assert back.config == model.config
-        np.testing.assert_array_equal(back.predict(X), model.predict(X))
-
-    def test_malformed_file_rejected(self, tmp_path):
-        path = tmp_path / "m.json"
-        path.write_text("{not json")
-        with pytest.raises(BoostingError, match="malformed"):
-            load_model(path)
+    @pytest.mark.parametrize("doc", [[1], None, 3])
+    def test_document_not_an_object_rejected(self, doc):
+        with pytest.raises(BoostingError) as err:
+            boosting._model_from_doc(doc)
+        assert str(err.value) == f"expected a JSON object, got {json.dumps(doc)}"
 
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc["trees"][0]["left"].__setitem__(0, 0), "tree 0 has a cycle"),
@@ -801,24 +760,21 @@ class TestModelIO:
         (lambda doc: doc["config"].__setitem__("max_depth", 2), "tree 0 is deeper than max_depth 2"),
         (lambda doc: doc["trees"][0]["feature"].__setitem__(0, 0.7), "tree 0: feature holds non-integer"),
         (lambda doc: doc["trees"][0]["left"].__setitem__(0, 1.5), "tree 0: left holds non-integer"),
+        (lambda doc: doc["trees"][1].pop("value"), "tree 1: 'value'"),
         (lambda doc: doc["config"].__setitem__("max_depth", 2.5), "max_depth must be an integer"),
         (lambda doc: doc.__setitem__("n_features", 3.9), "n_features must be an integer"),
+        (lambda doc: doc.__setitem__("base_prediction", "0.5"), "base_prediction must be a finite"),
+        (lambda doc: doc["step_sizes"].__setitem__(2, None), r"step_sizes\[2\] must be a finite"),
     ])
-    def test_unroutable_tree_rejected(self, tmp_path, edit, message):
+    def test_unroutable_tree_rejected(self, edit, message):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(200, 3))
         model = fit_boosted(X, X[:, 0] * X[:, 1] + X[:, 2], LossSpec(kind=SQUARED),
                             BoostConfig(n_rounds=4, max_depth=3))
         # Node 1 is the root's left child in pre-order; the edits need both to split.
         assert len(model.trees) == 4 and all(np.all(t.feature[:2] >= 0) for t in model.trees)
-        path = tmp_path / "m.json"
-        save_model(model, path)
-        import json
-        doc = json.loads(path.read_text())
-        edit(doc)
-        path.write_text(json.dumps(doc))
-        with pytest.raises(BoostingError, match=f"m.json: malformed model file: {message}"):
-            load_model(path)
+        with pytest.raises(BoostingError, match=f"^{message}"):
+            doc_round_trip(model, edit)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda parts: parts["trees"][0]["left"].__setitem__(0, 0), "tree 0 has a cycle"),
@@ -846,6 +802,17 @@ class TestModelIO:
         trees = [RegressionTree(**arrays) for arrays in parts.pop("trees")]
         with pytest.raises(BoostingError, match=message):
             BoostedEnsemble(trees=trees, **parts)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "0.5", True, None,
+                                       Decimal("0.5"), Fraction(1, 2)])
+    def test_scalars_must_be_finite_numbers(self, value):
+        # An unchecked NaN base prediction predicted NaN for every row.
+        with pytest.raises(BoostingError, match="^base_prediction must be a finite number, got "):
+            BoostedEnsemble(base_prediction=value, n_features=2)
+        leaf = RegressionTree(feature=[-1], threshold=[np.nan], left=[-1], right=[-1], value=[1.0])
+        with pytest.raises(BoostingError, match=r"^step_sizes\[1\] must be a finite number, got "):
+            BoostedEnsemble(base_prediction=0.0, trees=[leaf, leaf], step_sizes=[0.1, value],
+                            n_features=2)
 
     def test_tree_predict_checks_its_children(self):
         # Unchecked, -1 wraps to the last node: the row at 0.0 would get 1.0, not -1.0.

@@ -1,6 +1,5 @@
 import filecmp
 import json
-import shutil
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ import pytest
 from rxlearner.cli import build_parser, main
 from rxlearner.datasets import ScenarioSpec, generate_synthetic, load_dataset_csv, save_dataset_csv
 from rxlearner.metalearners import fit_meta, load_meta, mse_x_spec, predict_cate, rx_spec, save_meta
-from rxlearner.boosting import BoostConfig, BoostingError, load_model
+from rxlearner.boosting import BoostConfig
 
 TINY = """
 version: 1
@@ -100,11 +99,11 @@ class TestFitPredict:
         sim = tmp_path / "sim"
         main(["simulate", "--config", tiny_config, "--out-dir", str(sim)])
         dataset = str(sim / "dataset.csv")
-        model_dir = str(tmp_path / "model")
+        model = str(tmp_path / "model.json")
         preds = tmp_path / "preds.csv"
         assert main(["fit", dataset, "--config", tiny_config,
-                     "--model-out", model_dir]) == 0
-        assert main(["predict", model_dir, dataset, str(preds)]) == 0
+                     "--model-out", model]) == 0
+        assert main(["predict", model, dataset, str(preds)]) == 0
 
         data = load_dataset_csv(dataset)
         expected = predict_cate(
@@ -118,8 +117,8 @@ class TestFitPredict:
         sim = tmp_path / "sim"
         main(["simulate", "--config", tiny_config, "--out-dir", str(sim)])
         dataset = str(sim / "dataset.csv")
-        model_dir = str(tmp_path / "model")
-        assert main(["fit", dataset, "--config", tiny_config, "--model-out", model_dir]) == 0
+        model = str(tmp_path / "model.json")
+        assert main(["fit", dataset, "--config", tiny_config, "--model-out", model]) == 0
         X = load_dataset_csv(dataset).features
         features = tmp_path / "features.csv"
         features.write_text(
@@ -127,8 +126,8 @@ class TestFitPredict:
             + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in X)
         )
         preds = tmp_path / "preds.csv"
-        assert main(["predict", model_dir, str(features), str(preds)]) == 0
-        expected = predict_cate(load_meta(model_dir), X)
+        assert main(["predict", model, str(features), str(preds)]) == 0
+        expected = predict_cate(load_meta(model), X)
         assert np.loadtxt(preds, skiprows=1).tobytes() == expected.tobytes()
 
     def test_fit_leaves_out_dir_alone(self, tmp_path, tiny_config):
@@ -246,15 +245,14 @@ class TestExitCodes:
         sim = tmp_path / "sim"
         main(["simulate", "--config", tiny_config, "--out-dir", str(sim)])
         dataset = str(sim / "dataset.csv")
-        model_dir = tmp_path / "model"
-        assert main(["fit", dataset, "--config", tiny_config, "--model-out", str(model_dir)]) == 0
-        part = model_dir / "mu0.json"
-        doc = json.loads(part.read_text())
-        doc["loss_spec"]["gamma"] = 0.0
-        part.write_text(json.dumps(doc))
-        assert main(["predict", str(model_dir), dataset, str(tmp_path / "preds.csv")]) == 1
+        model = tmp_path / "model.json"
+        assert main(["fit", dataset, "--config", tiny_config, "--model-out", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        doc["parts"]["mu0"]["loss_spec"]["gamma"] = 0.0
+        model.write_text(json.dumps(doc))
+        assert main(["predict", str(model), dataset, str(tmp_path / "preds.csv")]) == 1
         err = capsys.readouterr().err
-        assert "mu0.json" in err and "gamma" in err
+        assert f"{model}: malformed bundle: part mu0: gamma must be > 0" in err
 
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc["trees"][0]["left"].__setitem__(0, 0), "tree 0 has a cycle"),
@@ -266,17 +264,17 @@ class TestExitCodes:
         sim = tmp_path / "sim"
         main(["simulate", "--config", tiny_config, "--out-dir", str(sim)])
         dataset = str(sim / "dataset.csv")
-        model_dir = tmp_path / "model"
-        assert main(["fit", dataset, "--config", tiny_config, "--model-out", str(model_dir)]) == 0
-        part = model_dir / "tau0.json"
-        doc = json.loads(part.read_text())
-        assert len(doc["trees"]) == 20 and doc["trees"][0]["feature"][0] >= 0
-        edit(doc)
-        part.write_text(json.dumps(doc))
+        model = tmp_path / "model.json"
+        assert main(["fit", dataset, "--config", tiny_config, "--model-out", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        part = doc["parts"]["tau0"]
+        assert len(part["trees"]) == 20 and part["trees"][0]["feature"][0] >= 0
+        edit(part)
+        model.write_text(json.dumps(doc))
         capsys.readouterr()
-        assert main(["predict", str(model_dir), dataset, str(tmp_path / "preds.csv")]) == 1
+        assert main(["predict", str(model), dataset, str(tmp_path / "preds.csv")]) == 1
         err = capsys.readouterr().err
-        assert f"tau0.json: malformed model file: {message}" in err
+        assert f"{model}: malformed bundle: part tau0: {message}" in err
 
     @pytest.mark.parametrize("text", ["[1]", "null", "3"])
     def test_bundle_part_not_an_object_is_validation_error(self, tiny_config, tmp_path, capsys,
@@ -284,14 +282,15 @@ class TestExitCodes:
         sim = tmp_path / "sim"
         main(["simulate", "--config", tiny_config, "--out-dir", str(sim)])
         dataset = str(sim / "dataset.csv")
-        model_dir = tmp_path / "model"
-        assert main(["fit", dataset, "--config", tiny_config, "--model-out", str(model_dir)]) == 0
-        (model_dir / "mu1.json").write_text(text)
-        with pytest.raises(BoostingError, match=r"mu1.json: malformed model file: .*JSON object"):
-            load_model(model_dir / "mu1.json")
+        model = tmp_path / "model.json"
+        assert main(["fit", dataset, "--config", tiny_config, "--model-out", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        doc["parts"]["mu1"] = json.loads(text)
+        model.write_text(json.dumps(doc))
         capsys.readouterr()
-        assert main(["predict", str(model_dir), dataset, str(tmp_path / "preds.csv")]) == 1
-        assert "mu1.json: malformed model file" in capsys.readouterr().err
+        assert main(["predict", str(model), dataset, str(tmp_path / "preds.csv")]) == 1
+        assert (f"{model}: malformed bundle: part mu1: expected a JSON object, got {text}"
+                in capsys.readouterr().err)
 
     def test_predict_names_a_non_finite_cell(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("rxlearner.cli.load_meta", lambda path: None)
@@ -321,6 +320,10 @@ class TestExitCodes:
         ("  n: 120", "  n: 120.5", "scenario: n must be an integer"),
         ("boost: {n_rounds: 20}", "boost: {n_rounds: 20, learning_rate: '0.1'}",
          "learners[0].boost: learning_rate must be a finite number, got '0.1'"),
+        ("{name: rx, kind: rx,", "{name: rx, kind: rx, gamma: '0.2',",
+         "learners[0]: gamma must be a finite number, got '0.2'"),
+        ("{name: rx, kind: rx,", "{name: rx, kind: rx, aggregation: fixed, g: '0.5',",
+         "learners[0]: g must be a finite number, got '0.5'"),
         ("curve_n: 60", "curve_n: 60\nsurrogate: {rows: 300.5, cols: 4}",
          "surrogate.rows: must be an integer >= 1, got 300.5"),
     ])
@@ -341,19 +344,27 @@ class TestExitCodes:
                      "--out-dir", str(blocker)]) == 2
 
 
-def _drop_part(doc, name):
-    doc["parts"].remove(name)
-
-
-MALFORMED_MANIFESTS = {
-    "no_kind": ("rx", lambda doc: doc.pop("kind")),
-    "bogus_kind": ("rx", lambda doc: doc.update(kind="bogus")),
-    "parts_without_mu0": ("rx", lambda doc: _drop_part(doc, "mu0")),
-    "x_kind_without_tau0": ("rx", lambda doc: _drop_part(doc, "tau0")),
-    "extra_aggregation_key": ("rx", lambda doc: doc["aggregation"].update(extra=1)),
-    "mse_x_without_propensity": ("mse_x", lambda doc: doc.update(propensity_constant=None)),
-    "part_outside_bundle": ("rx", lambda doc: doc["parts"].append("../d")),
-    "two_propensity_sources": ("rx", lambda doc: doc["parts"].append("propensity_model")),
+MALFORMED_BUNDLES = {
+    "no_kind": ("rx", lambda doc: doc.pop("kind"), "missing key 'kind'"),
+    "bogus_kind": ("rx", lambda doc: doc.update(kind="bogus"), "unknown learner kind 'bogus'"),
+    "no_format_version": ("rx", lambda doc: doc.pop("format_version"),
+                          "missing key 'format_version'"),
+    "parts_without_mu0": ("rx", lambda doc: doc["parts"].pop("mu0"),
+                          "parts ['mu1', 'tau0', 'tau1'] do not match a rx bundle"),
+    "x_kind_without_tau0": ("rx", lambda doc: doc["parts"].pop("tau0"),
+                            "parts ['mu0', 'mu1', 'tau1'] do not match a rx bundle"),
+    "parts_as_a_list": ("rx", lambda doc: doc.update(parts=sorted(doc["parts"])),
+                        "parts of type list do not match a rx bundle"),
+    "extra_aggregation_key": ("rx", lambda doc: doc["aggregation"].update(extra=1),
+                              "unexpected keyword argument 'extra'"),
+    "aggregation_g_as_text": ("rx", lambda doc: doc["aggregation"].update(g="0.5"),
+                              "g must be a finite number, got '0.5'"),
+    "mse_x_without_propensity": ("mse_x", lambda doc: doc.update(propensity_constant=None),
+                                 "with propensity_constant None: expected ['mu0', 'mu1', "
+                                 "'propensity_model', 'tau0', 'tau1']"),
+    "two_propensity_sources": ("rx", lambda doc: doc["parts"].update(
+        propensity_model=doc["parts"]["mu0"]), "parts ['mu0', 'mu1', 'propensity_model', "
+                                               "'tau0', 'tau1'] do not match a rx bundle"),
 }
 
 
@@ -363,29 +374,37 @@ def bundles(tmp_path_factory):
     data = generate_synthetic(ScenarioSpec(n=120, treated_fraction=0.4))
     boost = BoostConfig(n_rounds=5)
     for name, spec in (("rx", rx_spec(boost_config=boost)), ("mse_x", mse_x_spec(boost))):
-        save_meta(fit_meta(data, spec), root / name)
+        save_meta(fit_meta(data, spec), root / f"{name}.json")
     save_dataset_csv(data, root / "dataset.csv")
     return root
 
 
-class TestMalformedManifest:
-    @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
-    def test_predict_exits_one_naming_manifest(self, case, bundles, tmp_path, capsys):
-        learner, edit = MALFORMED_MANIFESTS[case]
-        bundle = tmp_path / "bundle"
-        shutil.copytree(bundles / learner, bundle)
-        (tmp_path / "d.json").write_text((bundle / "mu0.json").read_text())
-        manifest = bundle / "manifest.json"
-        doc = json.loads(manifest.read_text())
+class TestMalformedBundle:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_BUNDLES))
+    def test_predict_exits_one_naming_bundle(self, case, bundles, tmp_path, capsys):
+        learner, edit, message = MALFORMED_BUNDLES[case]
+        bundle = tmp_path / "bundle.json"
+        doc = json.loads((bundles / f"{learner}.json").read_text())
         edit(doc)
-        manifest.write_text(json.dumps(doc))
+        bundle.write_text(json.dumps(doc))
         preds = tmp_path / "preds.csv"
         assert main(["predict", str(bundle), str(bundles / "dataset.csv"), str(preds)]) == 1
-        assert "manifest.json" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bundle}: malformed bundle: ") and message in err
         assert not preds.exists()
+
+    def test_directory_bundle_exits_one(self, bundles, tmp_path, capsys):
+        # Bundles were once directories of part files beside a manifest.
+        (tmp_path / "old").mkdir()
+        (tmp_path / "old" / "manifest.json").write_text("{}")
+        assert main(["predict", str(tmp_path / "old"), str(bundles / "dataset.csv"),
+                     str(tmp_path / "preds.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'old'}: cannot read bundle: ")
+        assert "Traceback" not in err
 
     def test_unedited_bundles_predict(self, bundles, tmp_path):
         for learner in ("rx", "mse_x"):
             preds = tmp_path / f"{learner}.csv"
-            assert main(["predict", str(bundles / learner), str(bundles / "dataset.csv"),
-                         str(preds)]) == 0
+            assert main(["predict", str(bundles / f"{learner}.json"),
+                         str(bundles / "dataset.csv"), str(preds)]) == 0

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from decimal import Decimal
 from functools import partial
@@ -67,6 +68,14 @@ class TestSpecs:
     def test_unknown_kind_rejected(self):
         with pytest.raises(MetaLearnerError):
             MetaLearnerSpec(kind="s")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "0.5", True, Decimal("0.5")])
+    def test_real_fields_must_be_finite_numbers(self, value):
+        with pytest.raises(MetaLearnerError, match="^g must be a finite number, got "):
+            AggregationScheme(g=value)
+        with pytest.raises(MetaLearnerError, match="^propensity_value must be a finite number, got "):
+            MetaLearnerSpec(propensity_value=value)
+        assert MetaLearnerSpec(propensity_value=None).propensity_value is None
 
     def test_fixed_aggregation_bounds(self):
         with pytest.raises(MetaLearnerError):
@@ -347,18 +356,27 @@ class TestBundleIO:
     def test_every_learner_round_trips_bit_exact(self, tmp_path, name):
         data = balanced_dataset(n=200, seed=6)
         model = fit_meta(data, learner_spec(name, BoostConfig(n_rounds=20)))
-        save_meta(model, tmp_path / "bundle")
-        back = load_meta(tmp_path / "bundle")
+        save_meta(model, tmp_path / "bundle.json")
+        back = load_meta(tmp_path / "bundle.json")
         assert (predict_cate(back, data.features).tobytes()
                 == predict_cate(model, data.features).tobytes())
         assert (back.kind, back.arm_variance, back.aggregation) == (
             model.kind, model.arm_variance, model.aggregation)
+        for part in ("mu0", "mu1", "tau0", "tau1", "final_model", "propensity_model"):
+            saved, loaded = getattr(model, part), getattr(back, part)
+            assert (saved is None) == (loaded is None)
+            if saved is None:
+                continue
+            for tree, want in zip(loaded.trees, saved.trees, strict=True):
+                for array, _ in boosting.TREE_ARRAYS:
+                    got, expected = getattr(tree, array), getattr(want, array)
+                    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
     def test_round_trip_predictions(self, tmp_path):
         data = balanced_dataset(n=200, seed=6)
         model = fit_meta(data, rx_spec(boost_config=FAST))
-        save_meta(model, tmp_path / "bundle")
-        back = load_meta(tmp_path / "bundle")
+        save_meta(model, tmp_path / "bundle.json")
+        back = load_meta(tmp_path / "bundle.json")
         np.testing.assert_array_equal(
             predict_cate(back, data.features), predict_cate(model, data.features)
         )
@@ -368,71 +386,89 @@ class TestBundleIO:
     def test_t_learner_bundle_has_no_stage3(self, tmp_path):
         data = balanced_dataset(n=200, seed=7)
         model = fit_meta(data, learner_spec("t", FAST))
-        save_meta(model, tmp_path / "bundle")
-        back = load_meta(tmp_path / "bundle")
+        save_meta(model, tmp_path / "bundle.json")
+        back = load_meta(tmp_path / "bundle.json")
         assert back.tau0 is None and back.tau1 is None
         np.testing.assert_array_equal(
             predict_cate(back, data.features), predict_cate(model, data.features)
         )
 
-    def test_wrong_manifest_version(self, tmp_path):
-        import json
+    def test_save_writes_one_file(self, tmp_path):
+        model = fit_meta(balanced_dataset(n=200, seed=8), learner_spec("t", FAST))
+        path = tmp_path / "new" / "dir" / "bundle.json"
+        save_meta(model, path)  # creates the missing parent directories
+        save_meta(model, path)  # and replaces the file it wrote
+        assert [p.name for p in (tmp_path / "new" / "dir").iterdir()] == ["bundle.json"]
+        assert sorted(json.loads(path.read_text())["parts"]) == ["mu0", "mu1"]
+
+    @pytest.mark.parametrize("version", [99, 1, "2", None])
+    def test_wrong_format_version(self, tmp_path, version):
         data = balanced_dataset(n=200, seed=8)
         model = fit_meta(data, learner_spec("t", FAST))
-        save_meta(model, tmp_path / "bundle")
-        manifest = tmp_path / "bundle" / "manifest.json"
-        doc = json.loads(manifest.read_text())
-        doc["manifest_version"] = 99
-        manifest.write_text(json.dumps(doc))
-        with pytest.raises(MetaLearnerError, match="version"):
-            load_meta(tmp_path / "bundle")
+        path = tmp_path / "bundle.json"
+        save_meta(model, path)
+        doc = json.loads(path.read_text())
+        doc["format_version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MetaLearnerError) as err:
+            load_meta(path)
+        assert str(err.value) == (f"{path}: malformed bundle: unsupported format version "
+                                  f"{version!r} (expected 2)")
 
     def test_propensity_saved_as_squared_loads_the_same(self, tmp_path):
-        import json
         data = balanced_dataset(n=200, seed=9)
         spec = replace(mse_x_spec(boost_config=BoostConfig(n_rounds=20)), propensity="fitted")
         model = fit_meta(data, spec)
-        save_meta(model, tmp_path / "bundle")
-        path = tmp_path / "bundle" / "propensity_model.json"
+        path = tmp_path / "bundle.json"
+        save_meta(model, path)
         doc = json.loads(path.read_text())
-        assert doc["loss_spec"]["kind"] == LOGISTIC  # the loss it was fit with
-        doc["loss_spec"]["kind"] = SQUARED  # what bundles saved before the logistic kind
+        loss_spec = doc["parts"]["propensity_model"]["loss_spec"]
+        assert loss_spec["kind"] == LOGISTIC  # the loss it was fit with
+        loss_spec["kind"] = SQUARED  # what bundles saved before the logistic kind
         path.write_text(json.dumps(doc))
-        back = load_meta(tmp_path / "bundle")
+        back = load_meta(path)
         assert back.propensity_model.loss_spec.kind == SQUARED
         assert (back.propensity_at(data.features).tobytes()
                 == model.propensity_at(data.features).tobytes())
         assert (predict_cate(back, data.features).tobytes()
                 == predict_cate(model, data.features).tobytes())
 
-    def test_failed_resave_leaves_no_bundle_to_load(self, tmp_path):
+    def test_failed_resave_leaves_the_previous_bundle(self, tmp_path):
         data = balanced_dataset(n=200, seed=6)
-        save_meta(fit_meta(data, rx_spec(boost_config=FAST)), tmp_path)
+        path = tmp_path / "bundle.json"
+        old = fit_meta(data, rx_spec(boost_config=FAST))
+        save_meta(old, path)
+        want = predict_cate(old, data.features).tobytes()
         new = fit_meta(data, mse_x_spec(boost_config=FAST))
-        # mu0 is written, then mu1's document cannot be encoded
-        new.mu1 = replace(new.mu1, base_prediction=Decimal(1))
+        with mock.patch.object(metalearners.os, "replace", side_effect=OSError("disk full")):
+            with pytest.raises(OSError, match="disk full"):
+                save_meta(new, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["bundle.json"]  # no temporary file left
+        assert predict_cate(load_meta(path), data.features).tobytes() == want
+        # json cannot encode a Decimal, so the text fails before any file is opened
+        new.arm_variance = (Decimal(1), 1.0)
         with pytest.raises(TypeError, match="Decimal"):
-            save_meta(new, tmp_path)
-        with pytest.raises(MetaLearnerError) as err:
-            load_meta(tmp_path)  # not the new mu0 beside the old mu1, tau0 and tau1
-        assert str(err.value).startswith(f"{tmp_path / 'manifest.json'}: cannot read manifest")
+            save_meta(new, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["bundle.json"]
+        assert predict_cate(load_meta(path), data.features).tobytes() == want
 
     def test_missing_bundle(self, tmp_path):
-        with pytest.raises(MetaLearnerError):
-            load_meta(tmp_path / "nope")
+        with pytest.raises(MetaLearnerError, match="nope.json: cannot read bundle"):
+            load_meta(tmp_path / "nope.json")
 
     @pytest.mark.parametrize("text", ["[1]", "null"])
-    def test_manifest_not_an_object(self, tmp_path, text):
-        (tmp_path / "manifest.json").write_text(text)
+    def test_bundle_not_an_object(self, tmp_path, text):
+        path = tmp_path / "bundle.json"
+        path.write_text(text)
         with pytest.raises(MetaLearnerError) as err:
-            load_meta(tmp_path)
-        assert str(err.value) == (f"{tmp_path / 'manifest.json'}: malformed manifest: "
-                                  f"expected a JSON object, got {text}")
+            load_meta(path)
+        assert str(err.value) == f"{path}: malformed bundle: expected a JSON object, got {text}"
 
-    def test_manifest_that_is_not_json(self, tmp_path):
-        (tmp_path / "manifest.json").write_text("{not json")
-        with pytest.raises(MetaLearnerError, match="manifest.json: malformed manifest: Expecting"):
-            load_meta(tmp_path)
+    def test_bundle_that_is_not_json(self, tmp_path):
+        path = tmp_path / "bundle.json"
+        path.write_text("{not json")
+        with pytest.raises(MetaLearnerError, match="bundle.json: malformed bundle: Expecting"):
+            load_meta(path)
 
 
 SHARED_INDEX_SPECS = {
@@ -484,9 +520,9 @@ class TestCompileOnce:
             want = predict_cate(model, data.features)
             assert predict_cate(model, data.features).tobytes() == want.tobytes()
         assert compile_.call_count == 5  # mu0, mu1, tau0, tau1, propensity_model: as each is fit
-        save_meta(model, tmp_path / "bundle")
+        save_meta(model, tmp_path / "bundle.json")
         with mock.patch.object(boosting, "_compile", wraps=boosting._compile) as compile_:
-            loaded = load_meta(tmp_path / "bundle")
+            loaded = load_meta(tmp_path / "bundle.json")
             first = predict_cate(loaded, data.features)
             second = predict_cate(loaded, data.features)
         assert compile_.call_count == 5  # as load_meta builds each part, kept for every predict
