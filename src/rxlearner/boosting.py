@@ -19,7 +19,15 @@ their values, targets and weights with ``take`` gathers, and scores all cut
 points of a block of features from prefix sums in :func:`_best_splits`. The
 trees are the same bit for bit as sorting each node's rows stably: the prefix
 sums add the same values in the same order, and every gain is computed by the
-same sequence of operations.
+same sequence of operations. The search takes only the prefix sums it needs.
+One complex cumsum carries the sums of w*t (real part) and w*t*t (imaginary
+part), which add componentwise, so each is the real cumsum's double. A tree
+whose weights are all exactly 1 (squared and logistic loss, Huber with every
+residual inside delta) takes no weight sum: at sorted position p it is
+exactly p + 1, so ``min_child_weight`` becomes a window of positions and a
+leaf's value is its targets' sum over its size. The index flags the columns
+that repeat a value, and a block of columns that do not skips the mask of
+cuts between equal values.
 
 Prediction compiles the trees first. :func:`_compile` joins an ensemble's
 pre-order trees into one routing table and turns every leaf into a node that
@@ -43,6 +51,7 @@ the same leaf values and add the trees in the same order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -253,56 +262,77 @@ def _route(table, X):
         yield slice(r0, r0 + at.size), node
 
 
-def _weighted_mean(t: np.ndarray, w: np.ndarray) -> float:
-    return float(np.sum(w * t) / np.sum(w))
-
-
-def _best_splits(xs, ts, ws, config: BoostConfig):
+def _best_splits(xs, ts, ws, ties, config: BoostConfig):
     """Best (gain, threshold) of each row of a block of sorted features.
 
     ``xs`` is a (k, m) block, each row one feature's values at a node in
-    ascending order, with ``ts`` and ``ws`` aligned to it; the search works in
-    place and overwrites ``ts`` and ``ws``. Gain is the weighted-SSE reduction
-    from prefix sums; ``np.cumsum`` along a row adds sequentially, so each
-    row's sums equal those of a 1-D search. Every expression keeps the order of
-    its operations, so writing through ``out=`` gives each gain the same
-    double. A row with no valid split gets gain -inf, and so does a row whose
-    best gain is at most 1e-12 of its sum of w*t*t: the gain is a difference of
-    such sums, so below that it is rounding noise, in any unit of the targets.
-    Ties on gain resolve to the lowest threshold (argmax picks the first
-    position in ascending threshold order).
-    """
-    wt = ws * ts
-    cw = np.cumsum(ws, axis=1, out=ws)
-    ts *= wt  # w*t*t
-    cwt2 = np.cumsum(ts, axis=1, out=ts)
-    cwt = np.cumsum(wt, axis=1, out=wt)
-    total_w, total_wt, total_wt2 = cw[:, -1:], cwt[:, -1:], cwt2[:, -1:]
-    total_sse = total_wt2 - total_wt * total_wt / total_w
+    ascending order, with ``ts`` and ``ws`` aligned to it. ``ws`` is None when
+    every weight is exactly 1; otherwise the search overwrites it. ``ties`` is
+    False when no feature of the block repeats a value in its whole column.
+    The caller ignores divide and invalid floating-point errors.
 
-    # The left block xs[:, :pos + 1] keeps min_samples_leaf rows on each side
-    # for pos in [lo, hi).
-    lo, hi = config.min_samples_leaf - 1, xs.shape[1] - config.min_samples_leaf
-    valid = xs[:, lo:hi] < xs[:, lo + 1:hi + 1]
-    lw = cw[:, lo:hi]
-    rw = total_w - lw
-    valid &= (lw >= config.min_child_weight) & (rw >= config.min_child_weight)
+    Gain is the weighted-SSE reduction from prefix sums; ``np.cumsum`` along a
+    row adds sequentially, so each row's sums equal those of a 1-D search. The
+    sums of w*t and w*t*t are the real and imaginary parts of one complex
+    cumsum: complex addition adds the parts separately, so each part gets the
+    same doubles as a real cumsum of it. With unit weights w*t is t and the
+    sum of w up to position p is exactly p + 1, so neither is computed: the
+    weights' prefix sum is an ``arange``, and ``min_child_weight`` narrows the
+    window of positions instead of masking it. A cut between equal values is
+    masked only when the block holds a tie, since a sorted subset of a
+    strictly increasing column is strictly increasing. Every expression keeps
+    the order of its operations, so writing through ``out=`` gives each gain
+    the same double. A row with no valid split gets gain -inf, and so does a
+    row whose best gain is at most 1e-12 of its sum of w*t*t: the gain is a
+    difference of such sums, so below that it is rounding noise, in any unit
+    of the targets. Ties on gain resolve to the lowest threshold (argmax picks
+    the first position in ascending threshold order).
+    """
+    k, m = xs.shape
+    leaf = config.min_samples_leaf
+    if ws is None:
+        leaf = max(leaf, math.ceil(config.min_child_weight))
+    # The left block xs[:, :pos + 1] keeps ``leaf`` rows on each side for pos
+    # in [lo, hi).
+    lo, hi = leaf - 1, m - leaf
+    if hi <= lo:
+        return np.full(k, -np.inf), np.full(k, np.nan)
+    valid = xs[:, lo:hi] < xs[:, lo + 1:hi + 1] if ties else None
+    sums = np.empty((k, m), dtype=complex)
+    if ws is None:
+        sums.real = ts
+        np.multiply(ts, ts, out=sums.imag)
+        total_w = float(m)
+        lw = np.arange(lo + 1, hi + 1, dtype=float)
+        rw = total_w - lw
+    else:
+        np.multiply(ws, ts, out=sums.real)
+        np.multiply(ts, sums.real, out=sums.imag)  # w*t*t
+        cw = np.cumsum(ws, axis=1, out=ws)
+        total_w, lw = cw[:, -1:], cw[:, lo:hi]
+        rw = total_w - lw
+        heavy = (lw >= config.min_child_weight) & (rw >= config.min_child_weight)
+        valid = heavy if valid is None else valid & heavy
+    np.cumsum(sums, axis=1, out=sums)
+    cwt, cwt2 = sums.real, sums.imag
+    total_wt, total_wt2 = cwt[:, -1:], cwt2[:, -1:]
+    total_sse = total_wt2 - total_wt * total_wt / total_w
 
     # sse_l = cwt2 - cwt**2 / lw, sse_r = (total_wt2 - cwt2) - (total_wt - cwt)**2 / rw
     # and gain = total_sse - (sse_l + sse_r), evaluated in place in that order.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sse_l = np.square(cwt[:, lo:hi])
-        sse_l /= lw
-        np.subtract(cwt2[:, lo:hi], sse_l, out=sse_l)
-        sse_r = np.subtract(total_wt, cwt[:, lo:hi])
-        np.square(sse_r, out=sse_r)
-        sse_r /= rw
-        right_wt2 = np.subtract(total_wt2, cwt2[:, lo:hi], out=rw)  # rw is not read again
-        np.subtract(right_wt2, sse_r, out=sse_r)
-        sse_l += sse_r
-        gain = np.subtract(total_sse, sse_l, out=sse_l)
-    gain[~valid] = -np.inf
-    rows = np.arange(xs.shape[0])
+    sse_l = np.square(cwt[:, lo:hi])
+    sse_l /= lw
+    np.subtract(cwt2[:, lo:hi], sse_l, out=sse_l)
+    sse_r = np.subtract(total_wt, cwt[:, lo:hi])
+    np.square(sse_r, out=sse_r)
+    sse_r /= rw
+    right_wt2 = np.subtract(total_wt2, cwt2[:, lo:hi], out=cwt2[:, lo:hi])  # not read again
+    np.subtract(right_wt2, sse_r, out=sse_r)
+    sse_l += sse_r
+    gain = np.subtract(total_sse, sse_l, out=sse_l)
+    if valid is not None:
+        gain[~valid] = -np.inf
+    rows = np.arange(k)
     best = np.argmax(gain, axis=1)
     best_gain = gain[rows, best]
     best_gain[best_gain <= 1e-12 * total_wt2[:, 0]] = -np.inf
@@ -326,17 +356,25 @@ class FeatureIndex:
     matrix in column-major layout, a C-contiguous copy whose row j is feature j,
     so a node reads one feature's values from one contiguous column; and
     ``order``, whose row j is the stable int32 argsort of feature j (ties in
-    ascending row order). An index is itself a valid ``features`` argument:
-    numpy reads it as the matrix it indexes, and :func:`fit_tree` and
-    :func:`fit_boosted` reuse its sort. A meta-learner fits one arm's matrix
-    several times, so it sorts it once.
+    ascending row order). ``ties[j]`` is True when feature j holds a value more
+    than once (0.0 and -0.0 are one value); a node's rows of a column without
+    ties are strictly increasing in that column's order, whatever the subset,
+    so the split search needs no mask of cuts between equal values there.
+
+    An index is itself a valid ``features`` argument: numpy reads it as the
+    matrix it indexes, and :func:`fit_tree` and :func:`fit_boosted` reuse its
+    sort. A meta-learner fits one arm's matrix several times, so it sorts it
+    once.
     """
 
     def __init__(self, features):
         self.columns = np.ascontiguousarray(_as_features(features, 0, None, "an (n, d) matrix").T)
         self.order = np.empty(self.columns.shape, dtype=np.int32)
+        self.ties = np.empty(self.columns.shape[0], dtype=bool)
         for j, column in enumerate(self.columns):
             self.order[j] = np.argsort(column, kind="stable")
+            ascending = column.take(self.order[j])
+            self.ties[j] = bool(np.any(ascending[1:] == ascending[:-1]))
 
     def __array__(self, dtype=None, copy=None):
         """The indexed (n, d) matrix: the Fortran-ordered view ``columns.T``.
@@ -351,6 +389,7 @@ class FeatureIndex:
         return matrix.astype(dtype, copy=bool(copy))
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # the split search's, once per tree
 def fit_tree(X, targets, instance_weights, config: BoostConfig, *,
              leaves=None) -> RegressionTree:
     """Greedy top-down weighted CART; each split maximizes weighted-SSE reduction.
@@ -369,12 +408,19 @@ def fit_tree(X, targets, instance_weights, config: BoostConfig, *,
     one flat ``take`` on the index's column-major copy at the intp offsets of
     :func:`_offsets`, its targets and weights from ``take`` by row number.
 
+    The weights are checked once per tree, after the floor: if every one is
+    exactly 1, no weight is gathered or summed. The search's prefix sum of
+    ones at position p is exactly p + 1, and a leaf's value is
+    ``np.add.reduce(t) / size``, the same double as sum(1*t) / sum(1), since
+    1*t is t and a sum of ones below 2**53 is exact. Floating-point divide and
+    invalid errors of the search are ignored once for the whole tree.
+
     ``leaves``, if given, is a length-n integer array that receives each
     training row's leaf node, so ``tree.value[leaves]`` equals
     ``tree.predict(X)`` bit for bit without routing the rows again.
     """
     index = X if isinstance(X, FeatureIndex) else FeatureIndex(X)
-    columns, order = index.columns, index.order
+    columns, order, ties = index.columns, index.order, index.ties
     d, n = columns.shape
     t = np.asarray(targets, dtype=float)
     w = np.asarray(instance_weights, dtype=float)
@@ -386,6 +432,8 @@ def fit_tree(X, targets, instance_weights, config: BoostConfig, *,
     if np.any(w < 0) or not np.any(w > 0):
         raise BoostingError("weights must be nonnegative with at least one positive")
     w = np.maximum(w, WEIGHT_FLOOR)
+    if np.all(w == 1.0):
+        w = None  # unit weights: see _best_splits
     flat = columns.reshape(-1)
     if leaves is not None and np.shape(leaves) != (n,):
         raise BoostingError(f"leaf array has shape {np.shape(leaves)}, expected {(n,)}")
@@ -415,12 +463,18 @@ def fit_tree(X, targets, instance_weights, config: BoostConfig, *,
             for j0 in range(0, d, block):
                 o = node_order[j0:j0 + block]
                 xs = flat.take(_offsets(o, j0, n))
-                gains, thrs = _best_splits(xs, t.take(o), w.take(o), config)
+                ws = None if w is None else w.take(o)
+                gains, thrs = _best_splits(xs, t.take(o), ws, ties[j0:j0 + block].any(), config)
                 for j, gain, thr in zip(range(j0, d), gains.tolist(), thrs.tolist()):
                     if gain > best_gain:
                         best_gain, best_feat, best_thr = gain, j, thr
         if best_feat < 0:
-            value[node] = _weighted_mean(t.take(idx), w.take(idx))
+            ts = t.take(idx)
+            if w is None:  # the sum of idx.size ones is exactly idx.size
+                value[node] = float(np.add.reduce(ts) / idx.size)
+            else:
+                ws = w.take(idx)
+                value[node] = float(np.sum(ws * ts) / np.sum(ws))
             if leaves is not None:
                 leaves[idx] = node
             continue

@@ -297,12 +297,17 @@ def load_meta(path) -> FittedCate:
         if p_const is None:
             needed.add("propensity_model")
         else:
+            _check_real("propensity_constant", p_const, ValueError)
             p_const = float(p_const)
         got = sorted(parts) if isinstance(parts, dict) else f"of type {type(parts).__name__}"
         if got != sorted(needed):
             raise ValueError(f"parts {got} do not match a {kind} bundle with "
                              f"propensity_constant {p_const!r}: expected {sorted(needed)}")
-        v0, v1 = (float(v) for v in doc["arm_variance"])
+        v0, v1 = doc["arm_variance"]
+        for k, v in enumerate((v0, v1)):
+            _check_real(f"arm_variance[{k}]", v, ValueError)
+            if v <= 0:  # aggregation divides by it
+                raise ValueError(f"arm_variance[{k}] must be > 0, got {v!r}")
         aggregation = AggregationScheme(**doc["aggregation"])
         loaded = {}
         for name in sorted(needed):
@@ -313,5 +318,5 @@ def load_meta(path) -> FittedCate:
     except (KeyError, TypeError, ValueError) as exc:
         cause = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise MetaLearnerError(f"{path}: malformed bundle: {where}{cause}") from None
-    return FittedCate(kind=kind, arm_variance=(v0, v1), propensity_constant=p_const,
+    return FittedCate(kind=kind, arm_variance=(float(v0), float(v1)), propensity_constant=p_const,
                       aggregation=aggregation, **loaded)

@@ -219,18 +219,27 @@ def tree_arrays(tree):
 @st.composite
 def tree_problems(draw):
     """Small problems with many tied feature values, a possibly constant
-    column, zero weights and leaf-size limits that bind exactly."""
+    column, zero weights and leaf-size limits that bind exactly. Some draw
+    columns of distinct values, which the search treats as tie-free, and some
+    draw all-one weights, which it searches without a weight prefix sum."""
     n = draw(st.integers(1, 40))
     d = draw(st.integers(1, 3))
     levels = draw(st.integers(1, 6))
     cells = draw(st.lists(st.integers(0, levels - 1), min_size=n * d, max_size=n * d))
-    X = np.asarray(cells, dtype=float).reshape(n, d) * draw(st.sampled_from([1.0, 0.1, -2.5]))
+    X = np.asarray(cells, dtype=float).reshape(n, d)
+    for j in range(d):
+        if draw(st.booleans()):
+            X[:, j] = draw(st.permutations(range(n)))
+    X *= draw(st.sampled_from([1.0, 0.1, -2.5]))
     if draw(st.booleans()):
         X[:, draw(st.integers(0, d - 1))] = 3.0
     # Thirds and tenths are inexact, so prefix sums taken in another order differ.
     t = np.asarray(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))) / 3.0
-    w = np.asarray(draw(st.lists(st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0, 2.0]),
-                                 min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        w = np.ones(n)
+    else:
+        w = np.asarray(draw(st.lists(st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0, 2.0]),
+                                     min_size=n, max_size=n)))
     if not np.any(w > 0):
         w[draw(st.integers(0, n - 1))] = 1.0
     config = BoostConfig(
@@ -250,6 +259,33 @@ class TestPresortedSplitSearch:
         want = reference_fit_tree(X, t, w, config)
         for name, a, b in zip(("feature", "threshold", "left", "right", "value"), got, want):
             assert np.array_equal(a, b, equal_nan=True), name
+
+    # Unit weights fold min_child_weight into the window of cut positions: with
+    # min_child_weight 3.5 each side needs 4 rows, so 8 rows leave one cut
+    # position and 7 or 6 rows none.
+    @pytest.mark.parametrize("n, min_samples_leaf, min_child_weight",
+                             [(12, 1, 3.0), (12, 2, 4.5), (9, 3, 3.2), (8, 1, 3.5), (7, 1, 3.5),
+                              (6, 1, 3.5)])
+    def test_unit_weight_window_matches_reference(self, n, min_samples_leaf, min_child_weight):
+        rng = np.random.default_rng(n)
+        X = np.column_stack([rng.permutation(n), rng.integers(0, 3, n)]).astype(float)
+        t = rng.normal(size=n) / 3.0
+        config = BoostConfig(max_depth=3, min_samples_leaf=min_samples_leaf,
+                             min_child_weight=min_child_weight)
+        tree = fit_tree(X, t, np.ones(n), config)
+        want = reference_fit_tree(X, t, np.ones(n), config)
+        for name, a, b in zip(("feature", "threshold", "left", "right", "value"),
+                              tree_arrays(tree), want):
+            assert np.array_equal(a, b, equal_nan=True), name
+        assert (tree.n_leaves == 1) == (n < 8)
+
+    @pytest.mark.parametrize("ties", [True, False])
+    def test_empty_unit_weight_window_gains_nothing(self, ties):
+        xs = np.arange(14.0).reshape(2, 7)
+        config = BoostConfig(min_samples_leaf=1, min_child_weight=3.5)
+        gains, thresholds = boosting._best_splits(xs, np.ones((2, 7)), None, ties, config)
+        assert gains.tolist() == [-np.inf, -np.inf]
+        assert np.isnan(thresholds).all()
 
     def test_given_order_matches_built_order(self):
         rng = np.random.default_rng(8)
@@ -320,8 +356,19 @@ class TestFeatureIndex:
         index = boosting.FeatureIndex(X)
         columns, order = index.columns.copy(), index.order.copy()
         labels = (t > np.median(t)).astype(float)
+
+        def checked_fit_tree(features, targets, weights, tree_config, **kwargs):
+            # Squared and logistic rounds fit unit weights, Huber and Welsch
+            # rounds mostly other weights: every tree must be the reference's.
+            tree = fit_tree(features, targets, weights, tree_config, **kwargs)
+            want = reference_fit_tree(X, targets, weights, tree_config)
+            for a, b in zip(tree_arrays(tree), want):
+                assert np.array_equal(a, b, equal_nan=True)
+            return tree
+
         for kind, y in ((SQUARED, t), (HUBER, t), (GAMMA_WELSCH, t), (LOGISTIC, labels)):
-            shared = fit_boosted(index, y, LossSpec(kind=kind), config)
+            with mock.patch.object(boosting, "fit_tree", side_effect=checked_fit_tree):
+                shared = fit_boosted(index, y, LossSpec(kind=kind), config)
             alone = fit_boosted(X, y, LossSpec(kind=kind), config)
             assert ensemble_bytes(shared) == ensemble_bytes(alone), kind
             assert shared.predict(index).tobytes() == alone.predict(X).tobytes(), kind
@@ -334,6 +381,13 @@ class TestFeatureIndex:
         index = boosting.FeatureIndex(X)
         assert index.columns.flags.c_contiguous and index.columns.tolist() == X.T.tolist()
         assert index.order.dtype == np.int32 and index.order.tolist() == [[1, 2, 0], [2, 0, 1]]
+
+    def test_index_flags_each_column_that_repeats_a_value(self):
+        # constant, one repeat, distinct, and -0.0 == 0.0 (the search cannot cut between them)
+        X = np.array([[2.0, 1.0, 0.5, 0.0], [2.0, 3.0, -1.0, -0.0], [2.0, 1.0, 4.0, 1.0],
+                      [2.0, 0.0, 2.0, 2.0]])
+        assert boosting.FeatureIndex(X).ties.tolist() == [True, True, False, True]
+        assert boosting.FeatureIndex(X[:1]).ties.tolist() == [False] * 4
 
     def test_index_reads_as_its_matrix_without_a_copy(self):
         X = np.array([[3.0, 0.5], [1.0, 0.5], [2.0, -1.0]])

@@ -359,6 +359,12 @@ MALFORMED_BUNDLES = {
                               "unexpected keyword argument 'extra'"),
     "aggregation_g_as_text": ("rx", lambda doc: doc["aggregation"].update(g="0.5"),
                               "g must be a finite number, got '0.5'"),
+    "propensity_constant_as_text": ("rx", lambda doc: doc.update(propensity_constant="0.5"),
+                                    "propensity_constant must be a finite number, got '0.5'"),
+    "arm_variance_as_text": ("rx", lambda doc: doc.update(arm_variance=["1", True]),
+                             "arm_variance[0] must be a finite number, got '1'"),
+    "arm_variance_zero": ("rx", lambda doc: doc.update(arm_variance=[1.0, 0.0]),
+                          "arm_variance[1] must be > 0, got 0.0"),
     "mse_x_without_propensity": ("mse_x", lambda doc: doc.update(propensity_constant=None),
                                  "with propensity_constant None: expected ['mu0', 'mu1', "
                                  "'propensity_model', 'tau0', 'tau1']"),

@@ -452,6 +452,27 @@ class TestBundleIO:
         assert [p.name for p in tmp_path.iterdir()] == ["bundle.json"]
         assert predict_cate(load_meta(path), data.features).tobytes() == want
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("propensity_constant", "0.5", "propensity_constant must be a finite number, got '0.5'"),
+        ("propensity_constant", True, "propensity_constant must be a finite number, got True"),
+        ("arm_variance", ["1", True], "arm_variance[0] must be a finite number, got '1'"),
+        ("arm_variance", [1.0, True], "arm_variance[1] must be a finite number, got True"),
+        ("arm_variance", [1.0, None], "arm_variance[1] must be a finite number, got None"),
+        ("arm_variance", [0.0, 1.0], "arm_variance[0] must be > 0, got 0.0"),
+        ("arm_variance", [1.0, -2], "arm_variance[1] must be > 0, got -2"),
+        ("arm_variance", [1.0], "not enough values to unpack"),
+    ])
+    def test_bundle_scalars_checked(self, tmp_path, key, value, message):
+        path = tmp_path / "bundle.json"
+        save_meta(fit_meta(balanced_dataset(n=200, seed=8), learner_spec("t", FAST)), path)
+        doc = json.loads(path.read_text())
+        assert doc["propensity_constant"] is not None  # the t learner's is known
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MetaLearnerError) as err:
+            load_meta(path)
+        assert str(err.value).startswith(f"{path}: malformed bundle: {message}")
+
     def test_missing_bundle(self, tmp_path):
         with pytest.raises(MetaLearnerError, match="nope.json: cannot read bundle"):
             load_meta(tmp_path / "nope.json")
