@@ -27,7 +27,11 @@ residual inside delta) takes no weight sum: at sorted position p it is
 exactly p + 1, so ``min_child_weight`` becomes a window of positions and a
 leaf's value is its targets' sum over its size. The index flags the columns
 that repeat a value, and a block of columns that do not skips the mask of
-cuts between equal values.
+cuts between equal values. A split hands each child its rows by index
+selection: ``ndarray.compress`` of the parent's flattened (d, m) order by
+each row's side, a vectorized ``nonzero`` and a ``take`` instead of a boolean
+subscript's branch per element. Both keep the parent's order, so each child
+receives the same row ids in the same order, bit for bit.
 
 Prediction compiles the trees first. :func:`_compile` joins an ensemble's
 pre-order trees into one routing table and turns every leaf into a node that
@@ -402,7 +406,10 @@ def fit_tree(X, targets, instance_weights, config: BoostConfig, *,
     here, which rejects non-finite features, as non-finite targets and weights
     are rejected. Each node splits its per-feature sorted row lists stably
     instead of sorting again (the exact presorted method), so every prefix sum
-    adds in the same order as a per-node stable sort would. A node searches its
+    adds in the same order as a per-node stable sort would. The split is an
+    index selection: ``compress`` takes the rows of each side from the
+    parent's flattened order, and of its row list, in the order they hold
+    there, as a boolean subscript would. A node searches its
     features in blocks of up to ``SEARCH_CELLS`` cells with one
     :func:`_best_splits` call per block. The block's feature values come from
     one flat ``take`` on the index's column-major copy at the intp offsets of
@@ -485,11 +492,12 @@ def fit_tree(X, targets, instance_weights, config: BoostConfig, *,
         if depth + 1 < config.max_depth:
             n_left = int(np.count_nonzero(go_left))
             in_left[idx] = go_left
-            mask = in_left.take(node_order)
-            left_order = node_order[mask].reshape(d, n_left)
-            right_order = node_order[~mask].reshape(d, idx.size - n_left)
-        stack.append((idx[~go_left], right_order, depth + 1, right, node))
-        stack.append((idx[go_left], left_order, depth + 1, left, node))
+            rows = node_order.ravel()
+            mask = in_left.take(rows)
+            left_order = rows.compress(mask).reshape(d, n_left)
+            right_order = rows.compress(~mask).reshape(d, idx.size - n_left)
+        stack.append((idx.compress(~go_left), right_order, depth + 1, right, node))
+        stack.append((idx.compress(go_left), left_order, depth + 1, left, node))
     return RegressionTree(feature, threshold, left, right, value)
 
 

@@ -144,7 +144,7 @@ def gradient_and_weight(r, spec: LossSpec):
         a = np.abs(r)
         far = a > d  # divide only there: d / |r| overflows for subnormal r
         w = np.ones_like(r)
-        w[far] = d / a[far]
+        np.divide(d, a, out=w, where=far)
         return -np.clip(r, -d, d), w
     w = welsch_weight(r, spec)
     return -w * r, w

@@ -287,6 +287,48 @@ class TestPresortedSplitSearch:
         assert gains.tolist() == [-np.inf, -np.inf]
         assert np.isnan(thresholds).all()
 
+    # Long partition masks that no branch predictor guesses: about 3,000 rows
+    # in four columns, two with ties (at most 20 levels) and two without, with
+    # unit or varying weights. The first tied column has 20 levels of g rows
+    # each, every level holding the same (noise, weight) pairs, and the target
+    # is symmetric in it (level L and level 19 - L alike), so cutting after
+    # k levels and after 20 - k levels gain the same in exact arithmetic. Which
+    # of the two wins is then decided by rounding, which depends on the order
+    # in which each prefix sum adds a level's rows: a node that does not keep
+    # tied rows in row order picks the other cut. The seed is drawn so that
+    # CI's fresh-draw step fits new problems on every push.
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), unit=st.booleans())
+    def test_large_nodes_match_reference(self, seed, unit):
+        rng = np.random.default_rng(seed)
+        g = int(rng.integers(140, 160))
+        n = 20 * g
+        noise = rng.normal(size=g) / 3.0
+        weight = np.ones(g) if unit else rng.choice([0.0, 0.1, 0.5, 1.0, 2.0], g)
+        pair = np.concatenate([rng.permutation(g) for _ in range(20)])  # each level's pairs
+        level = np.repeat(np.arange(20), g)
+        rows = rng.permutation(n)
+        X = np.empty((n, 4))
+        X[rows, 0] = level
+        X[:, 1] = rng.integers(0, rng.integers(2, 21), n) * 0.1
+        X[:, 2] = rng.permutation(n) / 3.0
+        X[:, 3] = rng.normal(size=n)
+        t, w = np.empty(n), np.empty(n)
+        t[rows] = np.abs(level - 9.5) / 3.0 + noise[pair]
+        w[rows] = weight[pair]
+        columns = rng.permutation(4)
+        X = X[:, columns]
+        config = BoostConfig(max_depth=4, min_samples_leaf=int(rng.integers(1, 40)),
+                             min_child_weight=float(rng.choice([0.0, 1.0, 5.0])))
+        leaves = np.full(n, -1, dtype=np.int64)
+        tree = fit_tree(X, t, w, config, leaves=leaves)
+        want = RegressionTree(*reference_fit_tree(X, t, w, config))
+        assert want.feature[0] == np.argmax(columns == 0)  # the root cuts the symmetric column
+        for name, a, b in zip(("feature", "threshold", "left", "right", "value"),
+                              tree_arrays(tree), tree_arrays(want)):
+            assert np.array_equal(a, b, equal_nan=True), name
+        assert leaves.tobytes() == reference_leaves(want, X).tobytes()
+
     def test_given_order_matches_built_order(self):
         rng = np.random.default_rng(8)
         X = np.round(rng.normal(size=(300, 4)), 1)
@@ -389,6 +431,22 @@ class TestFeatureIndex:
         assert boosting.FeatureIndex(X).ties.tolist() == [True, True, False, True]
         assert boosting.FeatureIndex(X[:1]).ties.tolist() == [False] * 4
 
+    # Every order is the stable argsort, ties in row order, on columns long
+    # enough that numpy's default argsort need not keep that order on ties
+    # (three_levels, signed_zeros).
+    @pytest.mark.parametrize("column, ties", [
+        (np.random.default_rng(10).integers(0, 3, 1000) - 1.0, True),
+        (np.random.default_rng(11).choice([-0.0, 0.0, 1.0], 1000), True),
+        (np.full(1000, 2.5), True),
+        (np.random.default_rng(12).permutation(1000) / 7.0, False),
+    ], ids=["three_levels", "signed_zeros", "constant", "permutation"])
+    def test_index_order_is_the_stable_argsort(self, column, ties):
+        X = np.column_stack([column, column[::-1]])
+        index = boosting.FeatureIndex(X)
+        for j in range(2):
+            assert index.order[j].tolist() == np.argsort(X[:, j], kind="stable").tolist()
+        assert index.ties.tolist() == [ties, ties]
+
     def test_index_reads_as_its_matrix_without_a_copy(self):
         X = np.array([[3.0, 0.5], [1.0, 0.5], [2.0, -1.0]])
         index = boosting.FeatureIndex(X)
@@ -422,11 +480,12 @@ class TestFeatureIndex:
         assert got.tolist() == [[2 * n - 1, n], [2 * n + 5, 3 * n - 1]]
 
 
-def reference_predict(tree, X):
-    """Route rows node by node through the pre-order arrays with a mask.
+def reference_leaves(tree, X):
+    """Each row's leaf, routed node by node through the pre-order arrays with a mask.
 
     The router as it was before compiled prediction; RegressionTree.predict and
-    BoostedEnsemble.predict must agree with it bit for bit.
+    BoostedEnsemble.predict must agree with it bit for bit, and so must the
+    ``leaves`` that fit_tree writes.
     """
     node = np.zeros(X.shape[0], dtype=np.int64)
     active = tree.feature[node] >= 0
@@ -436,7 +495,11 @@ def reference_predict(tree, X):
         go_left = X[idx, tree.feature[nd]] <= tree.threshold[nd]
         node[idx] = np.where(go_left, tree.left[nd], tree.right[nd])
         active = tree.feature[node] >= 0
-    return tree.value[node]
+    return node
+
+
+def reference_predict(tree, X):
+    return tree.value[reference_leaves(tree, X)]
 
 
 def reference_ensemble_predict(model, X):
