@@ -1,12 +1,13 @@
 """Weighted regression trees and MM-based gradient boosting.
 
 One boosting loop, :func:`fit_boosted`, fits every model, the propensity
-included. It enforces the monotone-descent guarantee of the MM scheme: each
+included. It checks the monotone-descent guarantee of the MM scheme: each
 round's working response and instance weights (the Proxy Hessian: Welsch
 weights for the robust loss) come from :mod:`rxlearner.losses`, a tree is fit
-by weighted least squares, and the proposed step is accepted only if the
-training loss does not increase, backtracking the step size otherwise. The
-loop reads the loss kind only to check that logistic labels are 0 or 1.
+by weighted least squares, and the step at the learning rate is accepted only
+if the training loss does not increase. There is no step halving: a step that
+raises the loss stops the fit (see :func:`fit_boosted`). The loop reads the
+loss kind only to check that logistic labels are 0 or 1.
 
 Trees are grown by the exact presorted split search (the sorted column blocks
 of XGBoost, Chen & Guestrin, KDD 2016, section 4.1). ``FeatureIndex(features)``
@@ -46,7 +47,7 @@ id of that child, so a row's next slot is its node's slot plus the comparison
 (``node >> 1``) once per block to get the leaves: one step gathers each row's
 split feature and threshold, so the cost grows linearly with the depth, and a
 block's memory does not grow with the row count. An ensemble compiles its
-table and scales its leaf values by their step sizes when it is built, so a
+table and scales its leaf values by its learning rate when it is built, so a
 fitted, hand-built or loaded model that cannot be routed raises there.
 Predictions are bit-identical to walking each tree node by node: they gather
 the same leaf values and add the trees in the same order.
@@ -72,9 +73,6 @@ from .losses import (
 
 #: Relative slack when accepting a boosting step as non-increasing.
 DESCENT_RTOL = 1e-12
-
-#: Maximum step-size halvings before a round is abandoned.
-MAX_HALVINGS = 8
 
 #: :func:`predict_proba` clips propensities to [PROPENSITY_CLIP, 1 - PROPENSITY_CLIP].
 PROPENSITY_CLIP = 0.01
@@ -503,16 +501,16 @@ def fit_tree(X, targets, instance_weights, config: BoostConfig, *,
 
 @dataclass
 class BoostedEnsemble:
-    """Additive tree model with its (non-increasing) training loss trace."""
+    """Additive tree model with its (non-increasing) training loss trace; every
+    tree is scaled by ``config.learning_rate``."""
 
     base_prediction: float
     trees: list = field(default_factory=list)
-    step_sizes: list = field(default_factory=list)
     loss_spec: LossSpec = field(default_factory=LossSpec)
     loss_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
     config: BoostConfig = field(default_factory=BoostConfig)
     n_features: int = 0
-    # The routing table of _compile and the step-scaled leaf values, built with
+    # The routing table of _compile and the scaled leaf values, built with
     # the model; the trees of a fitted, hand-built or loaded model do not change.
     _table: tuple = field(default=None, init=False, repr=False, compare=False)
     _scaled: np.ndarray = field(default=None, init=False, repr=False, compare=False)
@@ -521,14 +519,10 @@ class BoostedEnsemble:
         """Check and compile the trees: the one place an ensemble becomes usable."""
         _check_count("n_features", self.n_features, 0)
         _check_real("base_prediction", self.base_prediction, BoostingError)
-        if len(self.step_sizes) != len(self.trees):
-            raise BoostingError(f"{len(self.trees)} trees but {len(self.step_sizes)} step sizes")
-        for k, eta in enumerate(self.step_sizes):
-            _check_real(f"step_sizes[{k}]", eta, BoostingError)
         self._table = _compile(self.trees, self.config.max_depth, self.n_features)
         # (eta * value)[leaf] is eta * value[leaf] bit for bit: scale once, then gather
-        self._scaled = np.concatenate(
-            [np.empty(0), *(eta * tree.value for eta, tree in zip(self.step_sizes, self.trees))])
+        eta = self.config.learning_rate
+        self._scaled = np.concatenate([np.empty(0), *(eta * tree.value for tree in self.trees)])
 
     def predict(self, X) -> np.ndarray:
         X = _as_features(X, self.n_features, self.n_features, f"training ({self.n_features})")
@@ -542,15 +536,18 @@ class BoostedEnsemble:
 
 
 def fit_boosted(features, targets, loss: LossSpec, config: BoostConfig) -> BoostedEnsemble:
-    """MM gradient boosting with a step-halving monotonicity safeguard.
+    """MM gradient boosting with one descent check per round.
 
     The loss gives the start value and spec, each round's tree target and
-    weight, and the training loss (see :mod:`rxlearner.losses`). A proposed
-    step F + eta*h is accepted only if the training loss does not increase;
-    otherwise eta is halved up to MAX_HALVINGS times and the loop stops if
-    descent still fails (further rounds would propose the identical tree).
-    Logistic labels must be 0 or 1; their steps never halve, as the log-loss
-    Hessian is at most 1/4 and each leaf value is the mean of its z - p.
+    weight, and the training loss (see :mod:`rxlearner.losses`). The step
+    F + eta*h, eta the learning rate, is taken if the training loss rises by
+    at most DESCENT_RTOL of its size; otherwise the fit stops, as every later
+    round would propose the same tree. A leaf value is a weighted mean of its
+    targets, so the step cannot raise the MM majorizer of a residual loss: a
+    failed check marks a degenerate fit (weights raised to WEIGHT_FLOOR move
+    a leaf off the minimizer). Logistic labels must be 0 or 1; their steps
+    descend, as the log-loss Hessian is at most 1/4 and each leaf value is
+    the mean of its z - p. A collapsed MAD scale raises ValueError.
 
     ``features`` is a matrix or its :class:`FeatureIndex`, so that fits on one
     matrix can sort it once; a matrix is indexed here. Every round's tree is
@@ -571,31 +568,23 @@ def fit_boosted(features, targets, loss: LossSpec, config: BoostConfig) -> Boost
     f0, spec = _start(y, loss)
     F = np.full(y.size, f0)
     cur = _objective(y, F, spec)
-    trees, steps, trace = [], [], []
+    trees, trace = [], []
 
     leaves = np.empty(y.size, dtype=np.int64)
     for _ in range(config.n_rounds):
         target, w = _working_response(y, F, spec)
         tree = fit_tree(index, target, w, config, leaves=leaves)
-        h = tree.value[leaves]
-        eta = config.learning_rate
-        for _ in range(MAX_HALVINGS + 1):
-            F_new = F + eta * h
-            new = _objective(y, F_new, spec)
-            if new <= cur + DESCENT_RTOL * abs(cur):
-                break
-            eta *= 0.5
-        else:  # no step size descended
+        F_new = F + config.learning_rate * tree.value[leaves]
+        new = _objective(y, F_new, spec)
+        if new > cur + DESCENT_RTOL * abs(cur):
             break
         F, cur = F_new, new
         trees.append(tree)
-        steps.append(eta)
         trace.append(new)
 
     return BoostedEnsemble(
         base_prediction=f0,
         trees=trees,
-        step_sizes=steps,
         loss_spec=spec,
         loss_trace=np.asarray(trace),
         config=config,
@@ -620,7 +609,6 @@ def _model_doc(model: BoostedEnsemble) -> dict:
     """The JSON document of a model; its numpy values are left to :func:`_json_value`."""
     return {
         "base_prediction": model.base_prediction,
-        "step_sizes": model.step_sizes,
         "loss_spec": asdict(model.loss_spec),
         "config": asdict(model.config),
         "n_features": model.n_features,
@@ -644,7 +632,6 @@ def _model_from_doc(doc) -> BoostedEnsemble:
     return BoostedEnsemble(
         base_prediction=doc["base_prediction"],
         trees=trees,
-        step_sizes=doc["step_sizes"],
         loss_spec=LossSpec(**doc["loss_spec"]),
         loss_trace=np.asarray(doc["loss_trace"], dtype=float),
         config=BoostConfig(**doc["config"]),

@@ -25,9 +25,6 @@ LOGISTIC = "logistic"  # binary labels; only the propensity fit uses it
 
 LOSS_KINDS = (SQUARED, HUBER, GAMMA_WELSCH, LOGISTIC)
 
-#: Lower bound on the scale anchor; prevents implosion when residuals collapse.
-SCALE_FLOOR = 1e-8
-
 #: Instance weights below this are floored so no unit drops out of tree fitting.
 WEIGHT_FLOOR = 1e-12
 
@@ -71,12 +68,20 @@ def _check_real(name, value, error) -> None:
 
 
 def mad_scale(residuals) -> float:
-    """1.4826 * median absolute deviation, floored at SCALE_FLOOR to guard against implosion."""
+    """1.4826 * median absolute deviation; ValueError if the scale has collapsed:
+    unless it exceeds 2**-52 of the largest deviation from the median and its
+    square is a normal double, r * r / (2 sigma^2) could divide by zero or
+    overflow. A zero-inflated outcome, most residuals at the median, has MAD 0."""
     r = np.asarray(residuals, dtype=float)
     if r.size == 0:
         raise ValueError("mad_scale requires a nonempty residual vector")
-    mad = np.median(np.abs(r - np.median(r)))
-    return max(1.4826 * mad, SCALE_FLOOR)
+    deviation = np.abs(r - np.median(r))
+    scale, far = 1.4826 * np.median(deviation), deviation.max()
+    square = float(scale) * float(scale)  # inf, not OverflowError, past the largest double
+    if not (scale > 2.0**-52 * far and np.finfo(float).tiny <= square < np.inf):
+        raise ValueError(f"the MAD scale of {r.size} residuals has collapsed: 1.4826 * MAD is "
+                         f"{scale:.3g} against a largest deviation from the median of {far:.3g}")
+    return scale
 
 
 def welsch_weight(r, spec: LossSpec):

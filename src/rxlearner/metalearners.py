@@ -39,9 +39,7 @@ AGG_KINDS = (AGG_PROPENSITY, AGG_INVERSE_VARIANCE, AGG_FIXED)
 PROPENSITY_KNOWN = "known"
 PROPENSITY_FITTED = "fitted"
 
-VARIANCE_FLOOR = 1e-16
-
-BUNDLE_FORMAT_VERSION = 2
+BUNDLE_FORMAT_VERSION = 3
 # bundle parts beside mu0/mu1 (and propensity_model when fitted); every X kind has tau0/tau1
 STAGE3_PARTS = {KIND_T: (), KIND_DR: ("final_model",)}
 
@@ -165,8 +163,15 @@ def fit_propensity(data: CausalDataset, spec: MetaLearnerSpec):
 def estimate_arm_variance(tau_model: BoostedEnsemble, features, pseudo_outcomes) -> float:
     """Precision proxy: squared MAD scale of stage-3 residuals over arm size."""
     resid = np.asarray(pseudo_outcomes, dtype=float) - tau_model.predict(features)
-    var = mad_scale(resid) ** 2 / resid.size
-    return max(var, VARIANCE_FLOOR)
+    return mad_scale(resid) ** 2 / resid.size
+
+
+def _named(part, fit, *args):
+    """fit(*args), its ValueError (a collapsed scale, say) raised again naming ``part``."""
+    try:
+        return fit(*args)
+    except ValueError as exc:
+        raise MetaLearnerError(f"{part}: {exc}") from exc
 
 
 def _check_arms(data: CausalDataset, config: BoostConfig):
@@ -195,8 +200,8 @@ def fit_meta(data: CausalDataset, spec: MetaLearnerSpec) -> FittedCate:
 
     treated, control = data.treated_idx, data.control_idx
     Xt, Xc = FeatureIndex(data.features[treated]), FeatureIndex(data.features[control])
-    mu0 = fit_boosted(Xc, data.outcome[control], spec.loss, cfg)
-    mu1 = fit_boosted(Xt, data.outcome[treated], spec.loss, cfg)
+    mu0 = _named("mu0 (control arm)", fit_boosted, Xc, data.outcome[control], spec.loss, cfg)
+    mu1 = _named("mu1 (treated arm)", fit_boosted, Xt, data.outcome[treated], spec.loss, cfg)
 
     p_const, p_model = fit_propensity(data, spec)
     fitted = FittedCate(
@@ -214,16 +219,17 @@ def fit_meta(data: CausalDataset, spec: MetaLearnerSpec) -> FittedCate:
         m1, m0 = mu1.predict(data.features), mu0.predict(data.features)
         mu_w = np.where(w == 1, m1, m0)
         phi = m1 - m0 + (w - pi) / (pi * (1.0 - pi)) * (data.outcome - mu_w)
-        fitted.final_model = fit_boosted(data.features, phi, spec.loss, cfg)
+        fitted.final_model = _named("final_model (both arms)", fit_boosted, data.features, phi,
+                                    spec.loss, cfg)
         return fitted
 
     d1, d0 = impute_pseudo_outcomes(mu0, mu1, data)
-    fitted.tau1 = fit_boosted(Xt, d1, spec.loss, cfg)
-    fitted.tau0 = fit_boosted(Xc, d0, spec.loss, cfg)
-    fitted.arm_variance = (
-        estimate_arm_variance(fitted.tau0, Xc, d0),
-        estimate_arm_variance(fitted.tau1, Xt, d1),
-    )
+    fitted.tau1 = _named("tau1 (treated arm)", fit_boosted, Xt, d1, spec.loss, cfg)
+    fitted.tau0 = _named("tau0 (control arm)", fit_boosted, Xc, d0, spec.loss, cfg)
+    if spec.aggregation.kind == AGG_INVERSE_VARIANCE:  # the one aggregation that reads them
+        fitted.arm_variance = (
+            _named("tau0 (control arm) variance", estimate_arm_variance, fitted.tau0, Xc, d0),
+            _named("tau1 (treated arm) variance", estimate_arm_variance, fitted.tau1, Xt, d1))
     return fitted
 
 

@@ -379,8 +379,8 @@ class TestBatchedSplitSearch:
 
 def ensemble_bytes(model):
     """Every array and number a fit produces, as bytes."""
-    parts = [np.float64(model.base_prediction).tobytes(), np.asarray(model.step_sizes).tobytes(),
-             model.loss_trace.tobytes(), repr(model.loss_spec).encode()]
+    parts = [np.float64(model.base_prediction).tobytes(), model.loss_trace.tobytes(),
+             repr(model.loss_spec).encode(), repr(model.config).encode()]
     for tree in model.trees:
         parts += [a.tobytes() for a in tree_arrays(tree)]
     return b"|".join(parts)
@@ -392,6 +392,8 @@ class TestFeatureIndex:
 
     @settings(max_examples=100, deadline=None)
     @given(problem=tree_problems())
+    @example(problem=(np.arange(4.0)[:, None], np.array([0.0, 0.0, 0.0, 1.0]), np.ones(4),
+                      BoostConfig(min_samples_leaf=1)))  # MAD 0: Huber and Welsch raise
     def test_shared_index_gives_the_same_fits(self, problem):
         X, t, _, config = problem
         config = replace(config, n_rounds=6)
@@ -408,12 +410,27 @@ class TestFeatureIndex:
                 assert np.array_equal(a, b, equal_nan=True)
             return tree
 
+        def fit(features, y, kind):
+            """The fit, or the message of a collapsed MAD scale, which only Huber and
+            Welsch fits raise."""
+            try:
+                return fit_boosted(features, y, LossSpec(kind=kind), config)
+            except ValueError as exc:
+                assert kind in (HUBER, GAMMA_WELSCH) and "has collapsed" in str(exc), exc
+                return str(exc)
+
+        collapsed = set()
         for kind, y in ((SQUARED, t), (HUBER, t), (GAMMA_WELSCH, t), (LOGISTIC, labels)):
             with mock.patch.object(boosting, "fit_tree", side_effect=checked_fit_tree):
-                shared = fit_boosted(index, y, LossSpec(kind=kind), config)
-            alone = fit_boosted(X, y, LossSpec(kind=kind), config)
+                shared = fit(index, y, kind)
+            alone = fit(X, y, kind)
+            if isinstance(alone, str):  # both paths raise the same error
+                assert shared == alone, kind
+                collapsed.add(kind)
+                continue
             assert ensemble_bytes(shared) == ensemble_bytes(alone), kind
             assert shared.predict(index).tobytes() == alone.predict(X).tobytes(), kind
+        assert collapsed in (set(), {HUBER, GAMMA_WELSCH})  # one anchor, one MAD
         # No fit writes to the index it was given.
         assert index.columns.tobytes() == columns.tobytes()
         assert index.order.tobytes() == order.tobytes()
@@ -504,8 +521,8 @@ def reference_predict(tree, X):
 
 def reference_ensemble_predict(model, X):
     out = np.full(X.shape[0], model.base_prediction)
-    for eta, tree in zip(model.step_sizes, model.trees):
-        out += eta * reference_predict(tree, X)
+    for tree in model.trees:
+        out += model.config.learning_rate * reference_predict(tree, X)
     return out
 
 
@@ -554,8 +571,7 @@ def hand_ensembles(draw):
     model = BoostedEnsemble(
         base_prediction=draw(LEAF_VALUES),
         trees=trees,
-        step_sizes=draw(st.lists(st.floats(1e-3, 1.0), min_size=len(trees), max_size=len(trees))),
-        config=BoostConfig(max_depth=max_depth),
+        config=BoostConfig(max_depth=max_depth, learning_rate=draw(st.floats(1e-3, 1.0))),
         n_features=d,
     )
     n = draw(st.integers(0, 60))
@@ -577,8 +593,8 @@ class TestCompiledPredict:
         base_prediction=1.0 / 3.0,
         trees=[RegressionTree(feature=np.array([-1]), threshold=np.array([np.nan]), left=np.array([-1]),
                               right=np.array([-1]), value=np.array([v]))
-               for v in (-0.0, -0.0, 1.0 / 3.0, 1.0 / 3.0)],
-        step_sizes=[1.0, 1.0, 0.75, 0.5], n_features=1), np.zeros((1, 1))))
+               for v in (-0.0, -0.0, 0.25, 1.0 / 6.0)],
+        config=BoostConfig(learning_rate=1.0), n_features=1), np.zeros((1, 1))))
     def test_hand_built_trees_match_reference(self, cells, case):
         model, X = case
         with mock.patch.object(boosting, "PREDICT_CELLS", cells):
@@ -593,8 +609,8 @@ class TestCompiledPredict:
     def test_fitted_trees_match_reference(self, cells, problem):
         X, t, w, config = problem
         tree = fit_tree(X, t, w, config)
-        model = BoostedEnsemble(base_prediction=0.1, trees=[tree, tree], step_sizes=[0.3, 1.0 / 3.0],
-                                config=config, n_features=X.shape[1])
+        model = BoostedEnsemble(base_prediction=0.1, trees=[tree, tree], n_features=X.shape[1],
+                                config=replace(config, learning_rate=1.0 / 3.0))
         with mock.patch.object(boosting, "PREDICT_CELLS", cells):
             assert tree.predict(X).tobytes() == reference_predict(tree, X).tobytes()
             assert model.predict(X).tobytes() == reference_ensemble_predict(model, X).tobytes()
@@ -703,6 +719,26 @@ class TestBoostConfig:
         assert getattr(BoostConfig(**{name: np.int64(3)}), name) == 3
 
 
+@st.composite
+def contaminated_problems(draw):
+    """(X, y, config): continuous outcomes at scale 2**k, |k| <= 40, with Pareto,
+    Cauchy or t2 whales, on features with or without ties."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(10, 150)), draw(st.integers(1, 4))
+    X = rng.normal(size=(n, d))
+    if draw(st.booleans()):
+        X = np.round(X, draw(st.integers(0, 1)))
+    y = X[:, 0] + rng.normal(size=n)
+    whales = rng.random(n) < draw(st.sampled_from([0.0, 0.05, 0.2]))
+    tails = {"pareto": rng.pareto(1.5, n) + 1.0, "cauchy": rng.standard_cauchy(n),
+             "t2": rng.standard_t(2, n)}
+    y[whales] += 10.0 * tails[draw(st.sampled_from(sorted(tails)))][whales]
+    config = BoostConfig(n_rounds=draw(st.integers(1, 20)), max_depth=draw(st.integers(1, 4)),
+                         min_samples_leaf=draw(st.integers(1, 8)),
+                         learning_rate=draw(st.sampled_from([0.1, 0.5, 1.0])))
+    return X, y * 2.0 ** draw(st.integers(-40, 40)), config
+
+
 class TestFitBoosted:
     def test_squared_converges_on_noiseless_linear(self):
         rng = np.random.default_rng(0)
@@ -800,6 +836,29 @@ class TestFitBoosted:
         with pytest.raises(BoostingError):
             model.predict(np.ones((5, 3)))
 
+    @settings(max_examples=100, deadline=None)
+    @given(case=contaminated_problems())
+    def test_every_round_asked_descends(self, case):
+        # A leaf value is a weighted mean of its targets, so a step at the
+        # learning rate cannot raise the MM majorizer: with a sound scale no
+        # fit stops early.
+        X, y, config = case
+        for kind in (SQUARED, HUBER, GAMMA_WELSCH):
+            model = fit_boosted(X, y, LossSpec(kind=kind), config)
+            assert len(model.trees) == len(model.loss_trace) == config.n_rounds, kind
+
+    def test_failed_descent_stops_the_fit(self):
+        # sigma-hat = 4.4e-15 passes mad_scale's test (it is 5e-14 of the far point),
+        # but the far point's weight, raised to WEIGHT_FLOOR, moves the one leaf by far
+        # more than sigma-hat, so the step raises the loss and the fit stops there.
+        X, y = np.array([[1.0], [1.0], [2.0]]), np.array([0.0, -3e-15, 0.085])
+        config = BoostConfig(n_rounds=10, max_depth=1, min_samples_leaf=2, min_child_weight=0.0)
+        for kind in (HUBER, GAMMA_WELSCH):
+            model = fit_boosted(X, y, LossSpec(kind=kind), config)
+            trace = model.loss_trace
+            assert len(model.trees) == trace.size < config.n_rounds, kind
+            assert np.all(trace[1:] <= trace[:-1] + boosting.DESCENT_RTOL * np.abs(trace[:-1]))
+
     @pytest.mark.parametrize("kind", [SQUARED, HUBER, GAMMA_WELSCH])
     def test_last_trace_value_is_loss_of_predictions(self, kind):
         rng = np.random.default_rng(12)
@@ -869,7 +928,6 @@ class TestModelIO:
         (lambda doc: doc["trees"][0]["left"].__setitem__(0, 0), "tree 0 has a cycle"),
         (lambda doc: doc["trees"][1]["right"].__setitem__(1, 0), "tree 1 has a cycle"),
         (lambda doc: doc["trees"][2]["feature"].__setitem__(0, 40), "tree 2: feature index 40"),
-        (lambda doc: doc["step_sizes"].pop(), "4 trees but 3 step sizes"),
         (lambda doc: doc["trees"][3]["right"].__setitem__(0, 99), "tree 3: child index out of range"),
         (lambda doc: doc["trees"][0]["left"].__setitem__(0, -1), "tree 0: child index out of range"),
         (lambda doc: doc["trees"][1]["value"].pop(), "tree 1: node arrays are empty or of unequal"),
@@ -881,7 +939,6 @@ class TestModelIO:
         (lambda doc: doc["config"].__setitem__("max_depth", 2.5), "max_depth must be an integer"),
         (lambda doc: doc.__setitem__("n_features", 3.9), "n_features must be an integer"),
         (lambda doc: doc.__setitem__("base_prediction", "0.5"), "base_prediction must be a finite"),
-        (lambda doc: doc["step_sizes"].__setitem__(2, None), r"step_sizes\[2\] must be a finite"),
     ])
     def test_unroutable_tree_rejected(self, edit, message):
         rng = np.random.default_rng(9)
@@ -897,7 +954,6 @@ class TestModelIO:
         (lambda parts: parts["trees"][0]["left"].__setitem__(0, 0), "tree 0 has a cycle"),
         (lambda parts: parts["trees"][1]["right"].__setitem__(1, 0), "tree 1 has a cycle"),
         (lambda parts: parts["trees"][2]["feature"].__setitem__(0, 40), "tree 2: feature index 40"),
-        (lambda parts: parts["step_sizes"].pop(), "4 trees but 3 step sizes"),
         (lambda parts: parts["trees"][3]["right"].__setitem__(0, 99), "tree 3: child index out of range"),
         (lambda parts: parts["trees"][0]["left"].__setitem__(0, -1), "tree 0: child index out of range"),
         (lambda parts: parts["trees"][2]["threshold"].__setitem__(0, np.nan), "tree 2: NaN threshold"),
@@ -911,8 +967,8 @@ class TestModelIO:
         model = fit_boosted(X, X[:, 0] * X[:, 1] + X[:, 2], LossSpec(kind=SQUARED),
                             BoostConfig(n_rounds=4, max_depth=3))
         assert len(model.trees) == 4 and all(np.all(t.feature[:2] >= 0) for t in model.trees)
-        parts = dict(base_prediction=model.base_prediction, step_sizes=list(model.step_sizes),
-                     config=model.config, n_features=model.n_features,
+        parts = dict(base_prediction=model.base_prediction, config=model.config,
+                     n_features=model.n_features,
                      trees=[{name: getattr(tree, name).copy() for name, _ in boosting.TREE_ARRAYS}
                             for tree in model.trees])
         edit(parts)
@@ -926,10 +982,6 @@ class TestModelIO:
         # An unchecked NaN base prediction predicted NaN for every row.
         with pytest.raises(BoostingError, match="^base_prediction must be a finite number, got "):
             BoostedEnsemble(base_prediction=value, n_features=2)
-        leaf = RegressionTree(feature=[-1], threshold=[np.nan], left=[-1], right=[-1], value=[1.0])
-        with pytest.raises(BoostingError, match=r"^step_sizes\[1\] must be a finite number, got "):
-            BoostedEnsemble(base_prediction=0.0, trees=[leaf, leaf], step_sizes=[0.1, value],
-                            n_features=2)
 
     def test_tree_predict_checks_its_children(self):
         # Unchecked, -1 wraps to the last node: the row at 0.0 would get 1.0, not -1.0.
@@ -983,7 +1035,7 @@ def reference_fit_logistic(X, z, config):
     p0 = float(np.clip(np.mean(z), 1e-6, 1 - 1e-6))
     f0 = float(np.log(p0 / (1 - p0)))
     F = np.full(z.size, f0)
-    trees, steps, trace = [], [], []
+    trees, trace = [], []
     index = boosting.FeatureIndex(X)
     leaves = np.empty(z.size, dtype=np.int64)
     for _ in range(config.n_rounds):
@@ -992,10 +1044,9 @@ def reference_fit_logistic(X, z, config):
         tree = fit_tree(index, resid, np.ones_like(resid), config, leaves=leaves)
         F = F + config.learning_rate * tree.value[leaves]
         trees.append(tree)
-        steps.append(config.learning_rate)
         p = np.clip(1.0 / (1.0 + np.exp(-F)), 1e-12, 1 - 1e-12)
         trace.append(float(-np.sum(z * np.log(p) + (1 - z) * np.log(1 - p))))
-    return BoostedEnsemble(base_prediction=f0, trees=trees, step_sizes=steps,
+    return BoostedEnsemble(base_prediction=f0, trees=trees,
                            loss_spec=LossSpec(kind=LOGISTIC), loss_trace=np.asarray(trace),
                            config=config, n_features=X.shape[1])
 

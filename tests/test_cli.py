@@ -153,6 +153,19 @@ class TestFitPredict:
         assert code == 1
 
 
+    def test_collapsed_scale_exits_one_naming_the_part(self, tmp_path, zero_inflated, capsys):
+        # Most outcomes are exactly 0, so rx's sigma-hat has nothing to anchor on.
+        save_dataset_csv(zero_inflated, tmp_path / "dataset.csv")
+        (tmp_path / "rx.yaml").write_text(TINY.replace("n_rounds: 20", "n_rounds: 5"))
+        model = tmp_path / "model.json"
+        assert main(["fit", str(tmp_path / "dataset.csv"), "--config", str(tmp_path / "rx.yaml"),
+                     "--model-out", str(model)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: mu0 (control arm): the MAD scale of 1800 residuals "
+                              "has collapsed")
+        assert not model.exists()
+
+
 class TestEvaluateAndStudies:
     def test_evaluate_writes_both_formats(self, tiny_config, tmp_path):
         out = tmp_path / "ev"
@@ -257,7 +270,6 @@ class TestExitCodes:
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc["trees"][0]["left"].__setitem__(0, 0), "tree 0 has a cycle"),
         (lambda doc: doc["trees"][0]["feature"].__setitem__(0, 40), "tree 0: feature index 40"),
-        (lambda doc: doc["step_sizes"].pop(), "20 trees but 19 step sizes"),
     ])
     def test_unroutable_bundle_tree_is_validation_error(self, tiny_config, tmp_path, capsys,
                                                         edit, message):

@@ -11,7 +11,6 @@ from rxlearner.losses import (
     GAMMA_WELSCH,
     HUBER,
     LOGISTIC,
-    SCALE_FLOOR,
     SQUARED,
     LossSpec,
     gamma_loss,
@@ -64,8 +63,22 @@ class TestMadScale:
         # median 3, abs deviations [2,1,0,1,97], MAD 1
         assert mad_scale([1, 2, 3, 4, 100]) == pytest.approx(1.4826, abs=1e-12)
 
-    def test_constant_vector_hits_floor(self):
-        assert mad_scale([5.0] * 7) == SCALE_FLOOR
+    @pytest.mark.parametrize("residuals", [
+        [5.0] * 7,  # constant
+        [0.0, 0.0, 0.0, 1.0, 2.5],  # a majority at the median: MAD 0
+        [0.0, 1.0, 2.0, 3.0, 2.0**60],  # the scale is below 2**-52 of the largest deviation
+        [0.0, 1e-160, -1e-160],  # its square is not a normal double
+        [0.0, 1e160, -1e160],  # its square overflows
+    ], ids=["constant", "majority_at_median", "below_2**-52", "square_underflows",
+            "square_overflows"])
+    def test_collapsed_scale_raises(self, residuals):
+        with pytest.raises(ValueError, match=r"^the MAD scale of \d+ residuals has collapsed"):
+            mad_scale(residuals)
+
+    def test_scale_just_above_2_to_the_minus_52_is_kept(self):
+        # MAD 1, so the scale 1.4826 passes against a deviation just under 1.4826 * 2**52.
+        far = np.nextafter(1.4826 * 2.0**52, 0.0)
+        assert mad_scale([-1.0, 0.0, 1.0, 2.0, -far]) == 1.4826
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
