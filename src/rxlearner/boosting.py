@@ -15,24 +15,13 @@ checks a matrix by prediction's rule (2-D, finite) and holds it as a
 column-major copy together with its sort by every feature. An index is passed
 wherever features are, so the matrix and its sort travel as one object; every
 fit passed one index reuses its sort, and a fit passed a matrix indexes it
-first. A node keeps, per feature, its rows in that feature's order, reads
-their values, targets and weights with ``take`` gathers, and scores all cut
-points of a block of features from prefix sums in :func:`_best_splits`. The
-trees are the same bit for bit as sorting each node's rows stably: the prefix
-sums add the same values in the same order, and every gain is computed by the
-same sequence of operations. The search takes only the prefix sums it needs.
-One complex cumsum carries the sums of w*t (real part) and w*t*t (imaginary
-part), which add componentwise, so each is the real cumsum's double. A tree
-whose weights are all exactly 1 (squared and logistic loss, Huber with every
-residual inside delta) takes no weight sum: at sorted position p it is
-exactly p + 1, so ``min_child_weight`` becomes a window of positions and a
-leaf's value is its targets' sum over its size. The index flags the columns
-that repeat a value, and a block of columns that do not skips the mask of
-cuts between equal values. A split hands each child its rows by index
-selection: ``ndarray.compress`` of the parent's flattened (d, m) order by
-each row's side, a vectorized ``nonzero`` and a ``take`` instead of a boolean
-subscript's branch per element. Both keep the parent's order, so each child
-receives the same row ids in the same order, bit for bit.
+first. A node keeps, per feature, its rows in that feature's order, and
+scores all cut points of a block of features from prefix sums in
+:func:`_best_splits`. The trees are the same bit for bit as sorting each
+node's rows stably; the argument for each step sits with its code: the
+index's stable order in :class:`FeatureIndex`, the per-tree products, the
+gathers, the split and the leaves in :func:`fit_tree`, and the prefix sums
+and gains in :func:`_best_splits`.
 
 Prediction compiles the trees first. :func:`_compile` joins an ensemble's
 pre-order trees into one routing table and turns every leaf into a node that
@@ -264,58 +253,57 @@ def _route(table, X):
         yield slice(r0, r0 + at.size), node
 
 
-def _best_splits(xs, ts, ws, ties, config: BoostConfig):
-    """Best (gain, threshold) of each row of a block of sorted features.
+def _best_splits(sums, ws, xs, config: BoostConfig):
+    """Best (gain, cut position) of each row of a block of sorted features.
 
-    ``xs`` is a (k, m) block, each row one feature's values at a node in
-    ascending order, with ``ts`` and ``ws`` aligned to it. ``ws`` is None when
-    every weight is exactly 1; otherwise the search overwrites it. ``ties`` is
-    False when no feature of the block repeats a value in its whole column.
-    The caller ignores divide and invalid floating-point errors.
+    Each row of the (k, m) block is one feature's rows at a node in ascending
+    order of that feature. ``sums`` holds their w*t (real part) and t*(w*t)
+    (imaginary part), gathered from the tree's vector of them, and ``ws``
+    their weights, or None when every weight is exactly 1; the search
+    overwrites both. ``xs`` holds their feature values, or None when no
+    feature of the block repeats a value in its whole column. A row's cut
+    position p splits its sorted rows after position p, at the threshold
+    halfway between the values at p and p + 1. The caller ignores divide and
+    invalid floating-point errors.
 
-    Gain is the weighted-SSE reduction from prefix sums; ``np.cumsum`` along a
-    row adds sequentially, so each row's sums equal those of a 1-D search. The
-    sums of w*t and w*t*t are the real and imaginary parts of one complex
-    cumsum: complex addition adds the parts separately, so each part gets the
-    same doubles as a real cumsum of it. With unit weights w*t is t and the
-    sum of w up to position p is exactly p + 1, so neither is computed: the
-    weights' prefix sum is an ``arange``, and ``min_child_weight`` narrows the
-    window of positions instead of masking it. A cut between equal values is
-    masked only when the block holds a tie, since a sorted subset of a
-    strictly increasing column is strictly increasing. Every expression keeps
-    the order of its operations, so writing through ``out=`` gives each gain
-    the same double. A row with no valid split gets gain -inf, and so does a
-    row whose best gain is at most 1e-12 of its sum of w*t*t: the gain is a
-    difference of such sums, so below that it is rounding noise, in any unit
-    of the targets. Ties on gain resolve to the lowest threshold (argmax picks
-    the first position in ascending threshold order).
+    Gain is the weighted-SSE reduction from prefix sums; a cumsum along a row
+    adds sequentially, so each row's sums equal those of a 1-D search. The
+    sums of w*t and w*t*t are the parts of one complex cumsum: complex
+    addition adds the parts separately, so each part gets the same doubles as
+    a real cumsum of it. With unit weights the sum of w up to position p is
+    exactly p + 1, so it is not computed: the weights' prefix sum is an
+    ``arange``, and ``min_child_weight`` narrows the window of positions
+    instead of masking it. A cut between equal values is masked, and only the
+    mask reads ``xs``: a sorted subset of a strictly increasing column is
+    strictly increasing, so a block without ties needs neither. Every
+    expression keeps the order of its operations, so writing through ``out=``
+    gives each gain the same double. A row with no valid split gets gain
+    -inf, and so does a row whose best gain is at most 1e-12 of its sum of
+    w*t*t: the gain is a difference of such sums, so below that it is
+    rounding noise, in any unit of the targets. Ties on gain resolve to the
+    lowest cut position (argmax picks the first).
     """
-    k, m = xs.shape
+    k, m = sums.shape
     leaf = config.min_samples_leaf
     if ws is None:
         leaf = max(leaf, math.ceil(config.min_child_weight))
-    # The left block xs[:, :pos + 1] keeps ``leaf`` rows on each side for pos
+    # The left block [:, :pos + 1] keeps ``leaf`` rows on each side for pos
     # in [lo, hi).
     lo, hi = leaf - 1, m - leaf
     if hi <= lo:
-        return np.full(k, -np.inf), np.full(k, np.nan)
-    valid = xs[:, lo:hi] < xs[:, lo + 1:hi + 1] if ties else None
-    sums = np.empty((k, m), dtype=complex)
+        return np.full(k, -np.inf), np.full(k, -1)
+    valid = None if xs is None else xs[:, lo:hi] < xs[:, lo + 1:hi + 1]
     if ws is None:
-        sums.real = ts
-        np.multiply(ts, ts, out=sums.imag)
         total_w = float(m)
         lw = np.arange(lo + 1, hi + 1, dtype=float)
         rw = total_w - lw
     else:
-        np.multiply(ws, ts, out=sums.real)
-        np.multiply(ts, sums.real, out=sums.imag)  # w*t*t
-        cw = np.cumsum(ws, axis=1, out=ws)
+        cw = ws.cumsum(axis=1, out=ws)
         total_w, lw = cw[:, -1:], cw[:, lo:hi]
         rw = total_w - lw
         heavy = (lw >= config.min_child_weight) & (rw >= config.min_child_weight)
         valid = heavy if valid is None else valid & heavy
-    np.cumsum(sums, axis=1, out=sums)
+    sums.cumsum(axis=1, out=sums)
     cwt, cwt2 = sums.real, sums.imag
     total_wt, total_wt2 = cwt[:, -1:], cwt2[:, -1:]
     total_sse = total_wt2 - total_wt * total_wt / total_w
@@ -334,11 +322,10 @@ def _best_splits(xs, ts, ws, ties, config: BoostConfig):
     gain = np.subtract(total_sse, sse_l, out=sse_l)
     if valid is not None:
         gain[~valid] = -np.inf
-    rows = np.arange(k)
-    best = np.argmax(gain, axis=1)
-    best_gain = gain[rows, best]
+    best = gain.argmax(axis=1)
+    best_gain = gain[np.arange(k), best]
     best_gain[best_gain <= 1e-12 * total_wt2[:, 0]] = -np.inf
-    return best_gain, 0.5 * (xs[rows, best + lo] + xs[rows, best + lo + 1])
+    return best_gain, best + lo
 
 
 def _offsets(o, j0, n):
@@ -361,7 +348,14 @@ class FeatureIndex:
     ascending row order). ``ties[j]`` is True when feature j holds a value more
     than once (0.0 and -0.0 are one value); a node's rows of a column without
     ties are strictly increasing in that column's order, whatever the subset,
-    so the split search needs no mask of cuts between equal values there.
+    so the split search needs no mask of cuts between equal values there, and
+    no values. Every column takes the same two sorts. Numpy's default argsort
+    puts equal values next to each other in some order, and ``ties`` is read
+    from it. Numbering each row's value in ascending order (``run``), one
+    integer sort of the keys run * n + row then orders the rows by (value,
+    row), which is the stable order whatever the first sort did with ties; the
+    sorted keys' run parts are ``run`` again, and subtracting them leaves the
+    rows.
 
     An index is itself a valid ``features`` argument: numpy reads it as the
     matrix it indexes, and :func:`fit_tree` and :func:`fit_boosted` reuse its
@@ -371,12 +365,21 @@ class FeatureIndex:
 
     def __init__(self, features):
         self.columns = np.ascontiguousarray(_as_features(features, 0, None, "an (n, d) matrix").T)
-        self.order = np.empty(self.columns.shape, dtype=np.int32)
-        self.ties = np.empty(self.columns.shape[0], dtype=bool)
+        d, n = self.columns.shape
+        self.order = np.empty((d, n), dtype=np.int32)
+        self.ties = np.empty(d, dtype=bool)
         for j, column in enumerate(self.columns):
-            self.order[j] = np.argsort(column, kind="stable")
-            ascending = column.take(self.order[j])
-            self.ties[j] = bool(np.any(ascending[1:] == ascending[:-1]))
+            order = column.argsort()
+            ascending = column.take(order)
+            new_value = ascending[1:] != ascending[:-1]
+            del ascending  # free the sorted values before run takes their size
+            self.ties[j] = not new_value.all()
+            run = np.zeros(n, dtype=np.intp)
+            new_value.cumsum(out=run[1:])
+            run *= n
+            order += run
+            order.sort()
+            self.order[j] = order - run
 
     def __array__(self, dtype=None, copy=None):
         """The indexed (n, d) matrix: the Fortran-ordered view ``columns.T``.
@@ -409,16 +412,25 @@ def fit_tree(X, targets, instance_weights, config: BoostConfig, *,
     parent's flattened order, and of its row list, in the order they hold
     there, as a boolean subscript would. A node searches its
     features in blocks of up to ``SEARCH_CELLS`` cells with one
-    :func:`_best_splits` call per block. The block's feature values come from
-    one flat ``take`` on the index's column-major copy at the intp offsets of
-    :func:`_offsets`, its targets and weights from ``take`` by row number.
+    :func:`_best_splits` call per block. Once per tree, after the weight
+    floor, each row's w*t and t*(w*t) form one complex vector z, and a block
+    gathers its cells' pairs with ``z.take``: the products a per-cell multiply
+    of the same doubles gives. Its weights come from ``take`` too, and its
+    feature values, only if one of its columns has ties, from one flat
+    ``take`` on the index's column-major copy at the intp offsets of
+    :func:`_offsets`. The winner's threshold is 0.5 * (a + b) of the values on
+    either side of its cut position in its order at the node, the same two
+    doubles and operations as a search over the gathered values; when that
+    rounds up to b (adjacent doubles whose sum is a rounding tie) it is a, so
+    each side still gets the rows the search scored for it. A leaf's
+    value is its rows' sum of w*t, read from z, over their sum of weights.
 
     The weights are checked once per tree, after the floor: if every one is
     exactly 1, no weight is gathered or summed. The search's prefix sum of
-    ones at position p is exactly p + 1, and a leaf's value is
-    ``np.add.reduce(t) / size``, the same double as sum(1*t) / sum(1), since
-    1*t is t and a sum of ones below 2**53 is exact. Floating-point divide and
-    invalid errors of the search are ignored once for the whole tree.
+    ones at position p is exactly p + 1, and a leaf divides by its size, the
+    same double as sum(1), since a sum of ones below 2**53 is exact; w*t is
+    then t. Floating-point divide and invalid errors of the search are
+    ignored once for the whole tree.
 
     ``leaves``, if given, is a length-n integer array that receives each
     training row's leaf node, so ``tree.value[leaves]`` equals
@@ -437,6 +449,9 @@ def fit_tree(X, targets, instance_weights, config: BoostConfig, *,
     if np.any(w < 0) or not np.any(w > 0):
         raise BoostingError("weights must be nonnegative with at least one positive")
     w = np.maximum(w, WEIGHT_FLOOR)
+    z = np.empty(n, dtype=complex)  # w*t + i*t*(w*t), each cell's pair for _best_splits
+    np.multiply(w, t, out=z.real)
+    np.multiply(t, z.real, out=z.imag)
     if np.all(w == 1.0):
         w = None  # unit weights: see _best_splits
     flat = columns.reshape(-1)
@@ -462,30 +477,29 @@ def fit_tree(X, targets, instance_weights, config: BoostConfig, *,
         left.append(-1)
         right.append(-1)
         value.append(0.0)
-        best_gain, best_feat, best_thr = -np.inf, -1, np.nan
+        best_gain, best_feat, best_cut = -np.inf, -1, -1
         if depth < config.max_depth and idx.size >= 2 * config.min_samples_leaf:
             block = max(1, SEARCH_CELLS // idx.size)
             for j0 in range(0, d, block):
                 o = node_order[j0:j0 + block]
-                xs = flat.take(_offsets(o, j0, n))
+                xs = flat.take(_offsets(o, j0, n)) if ties[j0:j0 + block].any() else None
                 ws = None if w is None else w.take(o)
-                gains, thrs = _best_splits(xs, t.take(o), ws, ties[j0:j0 + block].any(), config)
-                for j, gain, thr in zip(range(j0, d), gains.tolist(), thrs.tolist()):
+                gains, cuts = _best_splits(z.take(o), ws, xs, config)
+                for j, gain, cut in zip(range(j0, d), gains.tolist(), cuts.tolist()):
                     if gain > best_gain:
-                        best_gain, best_feat, best_thr = gain, j, thr
+                        best_gain, best_feat, best_cut = gain, j, cut
         if best_feat < 0:
-            ts = t.take(idx)
-            if w is None:  # the sum of idx.size ones is exactly idx.size
-                value[node] = float(np.add.reduce(ts) / idx.size)
-            else:
-                ws = w.take(idx)
-                value[node] = float(np.sum(ws * ts) / np.sum(ws))
+            # the sum of idx.size ones is exactly idx.size
+            size = idx.size if w is None else w.take(idx).sum()
+            value[node] = float(z.real.take(idx).sum() / size)
             if leaves is not None:
                 leaves[idx] = node
             continue
+        a, b = columns[best_feat].take(node_order[best_feat, best_cut:best_cut + 2])
+        mid = 0.5 * (a + b)  # b if a, b are adjacent and a + b is a tie; a splits alike
         feature[node] = best_feat
-        threshold[node] = best_thr
-        go_left = columns[best_feat].take(idx) <= best_thr
+        threshold[node] = float(mid if mid < b else a)
+        go_left = columns[best_feat].take(idx) <= threshold[node]
         left_order = right_order = None  # children at max_depth are leaves
         if depth + 1 < config.max_depth:
             n_left = int(np.count_nonzero(go_left))

@@ -13,6 +13,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .losses import _check_real
+
 TAIL_PARETO = "pareto"
 TAIL_STUDENT_T = "student_t"
 TAIL_CAUCHY = "cauchy"
@@ -137,6 +139,8 @@ class ContaminationSpec:
     def __post_init__(self):
         if not 0.0 <= self.rate < 1.0:
             raise DatasetError("contamination rate must lie in [0, 1)")
+        for name in ("core_sd", "tail_index", "tail_scale", "tail_df"):
+            _check_real(name, getattr(self, name), DatasetError)
         if self.core_sd <= 0:
             raise DatasetError("core_sd must be > 0")
         if self.tail_kind not in TAIL_KINDS:
@@ -165,6 +169,7 @@ class ScenarioSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise DatasetError(f"{name} must be an integer")
+        _check_real("tau_value", self.tau_value, DatasetError)
         if self.n < 2:
             raise DatasetError("n must be >= 2")
         if not 0.0 < self.treated_fraction < 1.0:
@@ -202,6 +207,8 @@ class SemiSyntheticSpec:
             raise DatasetError("treated_fraction must lie in (0, 0.5)")
         if not 0.0 <= self.contaminated_treated_fraction < 1.0:
             raise DatasetError("contaminated_treated_fraction must lie in [0, 1)")
+        for name in ("tail_index", "tail_scale", "core_sd", "target_mean_tau"):
+            _check_real(name, getattr(self, name), DatasetError)
         if self.tail_index <= 0 or self.tail_scale <= 0 or self.core_sd <= 0:
             raise DatasetError("tail and core parameters must be > 0")
         if self.target_mean_tau <= 0:

@@ -72,6 +72,24 @@ class TestFitTree:
         np.testing.assert_array_equal(a.threshold, b.threshold)
         np.testing.assert_allclose(a.value, b.value)
 
+    # The midpoint 0.5 * (a + b) of adjacent doubles rounds to b when a + b is a
+    # rounding tie; a threshold of b would send every row left and leave the
+    # right leaf 0/0.
+    @pytest.mark.parametrize("a, b", [(1.0000000000000002, 1.0000000000000004),
+                                      (-3.0000000000000004, -3.0)])
+    def test_midpoint_rounding_to_the_upper_value_splits_at_the_lower(self, a, b):
+        assert 0.5 * (a + b) == b
+        X = np.array([[a], [a], [b], [b]])
+        t = np.array([0.0, 0.0, 1.0, 1.0])
+        config = BoostConfig(max_depth=1, min_samples_leaf=1, min_child_weight=0.0)
+        tree = fit_tree(X, t, np.ones(4), config)
+        assert tree.threshold[0] == a and tree.value[1:].tolist() == [0.0, 1.0]
+        assert tree.predict(np.array([[a], [b]])).tolist() == [0.0, 1.0]
+        want = reference_fit_tree(X, t, np.ones(4), config)
+        for name, got, ref in zip(("feature", "threshold", "left", "right", "value"),
+                                  tree_arrays(tree), want):
+            assert np.array_equal(got, ref, equal_nan=True), name
+
     def test_depth1_split_matches_brute_force(self):
         rng = np.random.default_rng(2)
         cfg = BoostConfig(max_depth=1, min_samples_leaf=1, min_child_weight=0.0)
@@ -181,7 +199,9 @@ def reference_fit_tree(X, t, w, config):
         best = int(np.argmax(gain))
         if gain[best] <= 1e-12 * total_wt2:  # rounding noise at the scale of the sums
             return -np.inf, np.nan
-        return float(gain[best]), float(0.5 * (xs[best] + xs[best + 1]))
+        a, b = xs[best], xs[best + 1]
+        mid = 0.5 * (a + b)
+        return float(gain[best]), float(mid if mid < b else a)
 
     def build(idx, depth):
         node = len(feature)
@@ -282,10 +302,30 @@ class TestPresortedSplitSearch:
     @pytest.mark.parametrize("ties", [True, False])
     def test_empty_unit_weight_window_gains_nothing(self, ties):
         xs = np.arange(14.0).reshape(2, 7)
+        sums = np.full((2, 7), 1.0 + 1.0j)  # unit targets: w*t = t*(w*t) = 1
         config = BoostConfig(min_samples_leaf=1, min_child_weight=3.5)
-        gains, thresholds = boosting._best_splits(xs, np.ones((2, 7)), None, ties, config)
+        gains, cuts = boosting._best_splits(sums, None, xs if ties else None, config)
         assert gains.tolist() == [-np.inf, -np.inf]
-        assert np.isnan(thresholds).all()
+        assert cuts.tolist() == [-1, -1]
+
+    # Only the mask of cuts between equal values reads a block's feature values,
+    # so a block without ties is searched without them.
+    @pytest.mark.parametrize("unit", [True, False])
+    def test_tie_free_block_needs_no_values(self, unit):
+        rng = np.random.default_rng(14)
+        xs = np.sort(rng.normal(size=(3, 60)), axis=1)
+        ts = rng.standard_t(2, size=(3, 60)) / 3.0
+        ws = np.ones((3, 60)) if unit else rng.choice([0.0, 0.1, 0.5, 1.0, 2.0], (3, 60))
+        sums = np.empty((3, 60), dtype=complex)
+        np.multiply(ws, ts, out=sums.real)
+        np.multiply(ts, sums.real, out=sums.imag)
+        config = BoostConfig(min_samples_leaf=2, min_child_weight=1.5)
+        got = [boosting._best_splits(sums.copy(), None if unit else ws.copy(), values, config)
+               for values in (None, xs)]
+        (gains, cuts), (want_gains, want_cuts) = got
+        assert np.isfinite(want_gains).all()
+        assert gains.tobytes() == want_gains.tobytes()
+        assert cuts.tolist() == want_cuts.tolist()
 
     # Long partition masks that no branch predictor guesses: about 3,000 rows
     # in four columns, two with ties (at most 20 levels) and two without, with
@@ -450,13 +490,17 @@ class TestFeatureIndex:
 
     # Every order is the stable argsort, ties in row order, on columns long
     # enough that numpy's default argsort need not keep that order on ties
-    # (three_levels, signed_zeros).
+    # (three_levels, signed_zeros, many_levels), and on columns without ties
+    # (permutation, random_floats).
     @pytest.mark.parametrize("column, ties", [
         (np.random.default_rng(10).integers(0, 3, 1000) - 1.0, True),
         (np.random.default_rng(11).choice([-0.0, 0.0, 1.0], 1000), True),
+        (np.random.default_rng(15).integers(0, 300, 1000) / 3.0, True),
         (np.full(1000, 2.5), True),
         (np.random.default_rng(12).permutation(1000) / 7.0, False),
-    ], ids=["three_levels", "signed_zeros", "constant", "permutation"])
+        (np.random.default_rng(13).normal(size=1000), False),
+    ], ids=["three_levels", "signed_zeros", "many_levels", "constant", "permutation",
+            "random_floats"])
     def test_index_order_is_the_stable_argsort(self, column, ties):
         X = np.column_stack([column, column[::-1]])
         index = boosting.FeatureIndex(X)
@@ -495,6 +539,69 @@ class TestFeatureIndex:
         got = boosting._offsets(o, 1, n)
         assert got.dtype == np.intp
         assert got.tolist() == [[2 * n - 1, n], [2 * n + 5, 3 * n - 1]]
+
+
+#: Strictly increasing maps of one feature column, for values in [-3, 3].
+MONOTONE_MAPS = ("cubic", "exp", "piecewise_linear")
+
+
+@st.composite
+def rank_problems(draw):
+    """(X, y, loss, config, f(X)): a boosting problem, its features under one
+    strictly increasing map per column, and t2 noise in the targets. One
+    column takes 1 to 8 levels (one level: a constant column); the others take
+    distinct values 6/n apart, so every map keeps each pair of values apart."""
+    n = draw(st.integers(8, 300))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X = np.column_stack([rng.permutation(n) * (6.0 / n) - 3.0 for _ in range(d)])
+    levels = draw(st.integers(1, 8))
+    X[:, draw(st.integers(0, d - 1))] = rng.integers(0, levels, n) * (6.0 / levels) - 3.0
+    y = np.sin(2.0 * X[:, 0]) + X[:, -1] + rng.standard_t(2, n)
+    fX = np.empty_like(X)
+    for j, kind in enumerate(draw(st.lists(st.sampled_from(MONOTONE_MAPS),
+                                           min_size=d, max_size=d))):
+        x = X[:, j]
+        if kind == "cubic":
+            fX[:, j] = x ** 3 + x
+        elif kind == "exp":
+            fX[:, j] = np.exp(x)
+        else:
+            knots = np.linspace(-3.0, 3.0, draw(st.integers(2, 7)))
+            values = np.cumsum(rng.uniform(0.05, 5.0, knots.size)) - rng.uniform(0.0, 10.0)
+            fX[:, j] = np.interp(x, knots, values)
+    loss = LossSpec(kind=draw(st.sampled_from([SQUARED, HUBER, GAMMA_WELSCH])))
+    config = BoostConfig(n_rounds=draw(st.integers(1, 8)), learning_rate=0.3,
+                         max_depth=draw(st.integers(1, 4)),
+                         min_samples_leaf=draw(st.integers(1, 5)),
+                         min_child_weight=draw(st.sampled_from([0.0, 1.0])))
+    return X, y, loss, config, fX
+
+
+class TestRankInvariantSplitSearch:
+    """An exact CART fit reads each column only through its order. Under a
+    strictly increasing map of every column, its prefix sums and leaf sums add
+    the same rows in the same order and only the thresholds move, so a boosted
+    fit predicts its training rows bit for bit alike. A meta-learner's
+    predict_cate is not invariant in general: it predicts rows that fall
+    between training values, and a midpoint threshold (a + b) / 2 does not map
+    to (f(a) + f(b)) / 2."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=rank_problems())
+    def test_training_predictions_survive_increasing_maps(self, problem):
+        X, y, loss, config, fX = problem
+        index, mapped_index = boosting.FeatureIndex(X), boosting.FeatureIndex(fX)
+        assert index.order.tobytes() == mapped_index.order.tobytes()
+        assert index.ties.tolist() == mapped_index.ties.tolist()
+        model = fit_boosted(index, y, loss, config)
+        mapped = fit_boosted(mapped_index, y, loss, config)
+        assert model.predict(X).tobytes() == mapped.predict(fX).tobytes()
+        assert model.loss_trace.tobytes() == mapped.loss_trace.tobytes()
+        assert len(model.trees) == len(mapped.trees)
+        for a, b in zip(model.trees, mapped.trees):
+            for name in ("feature", "left", "right", "value"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
 
 def reference_leaves(tree, X):

@@ -90,6 +90,26 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="weird"):
             parse_config(doc)
 
+    # YAML's .nan is a float that passes a "> 0" check; each dataset real is
+    # checked to be finite, and the error names the block and the field.
+    @pytest.mark.parametrize("where, key", [
+        ("scenario.contamination", "core_sd"), ("scenario.contamination", "tail_df"),
+        ("scenario", "tau_value"), ("semi_synthetic", "target_mean_tau"),
+        ("semi_synthetic", "core_sd"),
+    ])
+    def test_nan_dataset_reals_rejected(self, tmp_path, where, key):
+        block = {
+            "scenario.contamination": "scenario: {n: 100, treated_fraction: 0.3, "
+                                      f"contamination: {{{key}: .nan}}}}",
+            "scenario": f"scenario: {{n: 100, treated_fraction: 0.3, {key}: .nan}}",
+            "semi_synthetic": f"semi_synthetic: {{treated_fraction: 0.1, {key}: .nan}}",
+        }[where]
+        path = tmp_path / "nan.yaml"
+        path.write_text(f"version: 1\nkind: {where.split('.')[0]}\n{block}\n"
+                        "learners: [{name: rx, kind: rx}]\n")
+        with pytest.raises(ConfigError, match=rf"{where}: {key} must be a finite number, got nan"):
+            load_config(path)
+
     def test_non_mapping_root(self):
         with pytest.raises(ConfigError):
             parse_config([1, 2])

@@ -85,6 +85,8 @@ class TestContaminationSpec:
         dict(tail_kind="lognormal"),
         dict(tail_arm="everyone"),
         dict(tail_index=0.0),
+        dict(core_sd=float("nan")),
+        dict(tail_scale=float("nan")),
     ])
     def test_validation(self, bad):
         with pytest.raises(DatasetError):
