@@ -52,7 +52,6 @@ import numpy as np
 
 from .losses import (
     LOGISTIC,
-    WEIGHT_FLOOR,
     LossSpec,
     _check_real,
     _objective,
@@ -273,13 +272,15 @@ def _best_splits(sums, ws, xs, config: BoostConfig):
     a real cumsum of it. With unit weights the sum of w up to position p is
     exactly p + 1, so it is not computed: the weights' prefix sum is an
     ``arange``, and ``min_child_weight`` narrows the window of positions
-    instead of masking it. A cut between equal values is masked, and only the
-    mask reads ``xs``: a sorted subset of a strictly increasing column is
-    strictly increasing, so a block without ties needs neither. Every
-    expression keeps the order of its operations, so writing through ``out=``
-    gives each gain the same double. A row with no valid split gets gain
-    -inf, and so does a row whose best gain is at most 1e-12 of its sum of
-    w*t*t: the gain is a difference of such sums, so below that it is
+    instead of masking it. Otherwise a side also needs a positive sum of w,
+    whatever ``min_child_weight``: a side of zero weights would score 0/0, and
+    argmax would pick that NaN. A cut between equal values is masked, and
+    only the mask reads ``xs``: a sorted subset of a strictly increasing
+    column is strictly increasing, so a block without ties needs neither.
+    Every expression keeps the order of its operations, so writing through
+    ``out=`` gives each gain the same double. A row with no valid split gets
+    gain -inf, and so does a row whose best gain is at most 1e-12 of its sum
+    of w*t*t: the gain is a difference of such sums, so below that it is
     rounding noise, in any unit of the targets. Ties on gain resolve to the
     lowest cut position (argmax picks the first).
     """
@@ -301,7 +302,8 @@ def _best_splits(sums, ws, xs, config: BoostConfig):
         cw = ws.cumsum(axis=1, out=ws)
         total_w, lw = cw[:, -1:], cw[:, lo:hi]
         rw = total_w - lw
-        heavy = (lw >= config.min_child_weight) & (rw >= config.min_child_weight)
+        least = max(config.min_child_weight, math.ulp(0.0))  # at 0: sum(w) > 0
+        heavy = (lw >= least) & (rw >= least)
         valid = heavy if valid is None else valid & heavy
     sums.cumsum(axis=1, out=sums)
     cwt, cwt2 = sums.real, sums.imag
@@ -400,8 +402,9 @@ def fit_tree(X, targets, instance_weights, config: BoostConfig, *,
     """Greedy top-down weighted CART; each split maximizes weighted-SSE reduction.
 
     Leaf value is the weighted mean of its targets (the exact weighted
-    least-squares minimizer, i.e. the MM inner step). Split ties resolve to
-    the lowest feature index, then the lowest threshold.
+    least-squares minimizer, i.e. the MM inner step); a unit of weight 0 pulls
+    on no leaf, and a split leaves positive weight on each side. Split ties
+    resolve to the lowest feature index, then the lowest threshold.
 
     X is a feature matrix or its :class:`FeatureIndex`; a matrix is indexed
     here, which rejects non-finite features, as non-finite targets and weights
@@ -410,27 +413,26 @@ def fit_tree(X, targets, instance_weights, config: BoostConfig, *,
     adds in the same order as a per-node stable sort would. The split is an
     index selection: ``compress`` takes the rows of each side from the
     parent's flattened order, and of its row list, in the order they hold
-    there, as a boolean subscript would. A node searches its
-    features in blocks of up to ``SEARCH_CELLS`` cells with one
-    :func:`_best_splits` call per block. Once per tree, after the weight
-    floor, each row's w*t and t*(w*t) form one complex vector z, and a block
-    gathers its cells' pairs with ``z.take``: the products a per-cell multiply
-    of the same doubles gives. Its weights come from ``take`` too, and its
-    feature values, only if one of its columns has ties, from one flat
-    ``take`` on the index's column-major copy at the intp offsets of
-    :func:`_offsets`. The winner's threshold is 0.5 * (a + b) of the values on
-    either side of its cut position in its order at the node, the same two
-    doubles and operations as a search over the gathered values; when that
-    rounds up to b (adjacent doubles whose sum is a rounding tie) it is a, so
-    each side still gets the rows the search scored for it. A leaf's
+    there, as a boolean subscript would. A node searches its features in
+    blocks of up to ``SEARCH_CELLS`` cells with one :func:`_best_splits` call
+    per block. Once per tree, each row's w*t and t*(w*t) form one complex
+    vector z, and a block gathers its cells' pairs with ``z.take``: the
+    products a per-cell multiply of the same doubles gives. Its weights come
+    from ``take`` too, and its feature values, only if one of its columns has
+    ties, from one flat ``take`` on the index's column-major copy at the intp
+    offsets of :func:`_offsets`. The winner's threshold is 0.5 * (a + b) of
+    the values on either side of its cut position in its order at the node,
+    the same two doubles and operations as a search over the gathered values;
+    when that rounds up to b (adjacent doubles whose sum is a rounding tie) it
+    is a, so each side still gets the rows the search scored for it. A leaf's
     value is its rows' sum of w*t, read from z, over their sum of weights.
 
-    The weights are checked once per tree, after the floor: if every one is
-    exactly 1, no weight is gathered or summed. The search's prefix sum of
-    ones at position p is exactly p + 1, and a leaf divides by its size, the
-    same double as sum(1), since a sum of ones below 2**53 is exact; w*t is
-    then t. Floating-point divide and invalid errors of the search are
-    ignored once for the whole tree.
+    The weights are checked once per tree: if every one is exactly 1, no
+    weight is gathered or summed. The search's prefix sum of ones at position
+    p is exactly p + 1, and a leaf divides by its size, the same double as
+    sum(1), since a sum of ones below 2**53 is exact; w*t is then t.
+    Floating-point divide and invalid errors of the search are ignored once
+    for the whole tree.
 
     ``leaves``, if given, is a length-n integer array that receives each
     training row's leaf node, so ``tree.value[leaves]`` equals
@@ -448,7 +450,6 @@ def fit_tree(X, targets, instance_weights, config: BoostConfig, *,
             raise BoostingError(f"{name} contain non-finite values")
     if np.any(w < 0) or not np.any(w > 0):
         raise BoostingError("weights must be nonnegative with at least one positive")
-    w = np.maximum(w, WEIGHT_FLOOR)
     z = np.empty(n, dtype=complex)  # w*t + i*t*(w*t), each cell's pair for _best_splits
     np.multiply(w, t, out=z.real)
     np.multiply(t, z.real, out=z.imag)
@@ -557,11 +558,11 @@ def fit_boosted(features, targets, loss: LossSpec, config: BoostConfig) -> Boost
     F + eta*h, eta the learning rate, is taken if the training loss rises by
     at most DESCENT_RTOL of its size; otherwise the fit stops, as every later
     round would propose the same tree. A leaf value is a weighted mean of its
-    targets, so the step cannot raise the MM majorizer of a residual loss: a
-    failed check marks a degenerate fit (weights raised to WEIGHT_FLOOR move
-    a leaf off the minimizer). Logistic labels must be 0 or 1; their steps
-    descend, as the log-loss Hessian is at most 1/4 and each leaf value is
-    the mean of its z - p. A collapsed MAD scale raises ValueError.
+    targets under the round's weights, so the step cannot raise the MM
+    majorizer of a residual loss (Hunter & Lange, Am. Stat. 2004), and the
+    check guards against rounding. Logistic labels must be 0 or 1; their
+    steps descend, as the log-loss Hessian is at most 1/4 and each leaf value
+    is the mean of its z - p. A collapsed MAD scale raises ValueError.
 
     ``features`` is a matrix or its :class:`FeatureIndex`, so that fits on one
     matrix can sort it once; a matrix is indexed here. Every round's tree is

@@ -12,7 +12,7 @@ from typing import Dict, List, Optional
 
 from .boosting import BoostConfig
 from .datasets import ScenarioSpec, SemiSyntheticSpec
-from .losses import GAMMA_WELSCH, HUBER
+from .losses import GAMMA_WELSCH, HUBER, _check_real
 from .metalearners import (
     AGG_FIXED,
     LEARNERS,
@@ -131,11 +131,12 @@ def _list_value(doc: dict, key: str, errors: list) -> list:
 
 def _float_list(doc: dict, key: str, errors: list) -> List[float]:
     out = []
-    for value in _list_value(doc, key, errors):
+    for i, value in enumerate(_list_value(doc, key, errors)):
         try:
+            _check_real(f"{key}[{i}]", value, ConfigError)
             out.append(float(value))
-        except (TypeError, ValueError):
-            errors.append(f"{key}: expected a number, got {value!r}")
+        except ConfigError as exc:
+            errors.append(str(exc))
     return out
 
 

@@ -25,9 +25,6 @@ LOGISTIC = "logistic"  # binary labels; only the propensity fit uses it
 
 LOSS_KINDS = (SQUARED, HUBER, GAMMA_WELSCH, LOGISTIC)
 
-#: Instance weights below this are floored so no unit drops out of tree fitting.
-WEIGHT_FLOOR = 1e-12
-
 
 @dataclass(frozen=True)
 class LossSpec:

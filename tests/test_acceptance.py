@@ -263,8 +263,9 @@ def test_whale_influence_redescends_at_small_n(seed):
     """Criterion 6's single-whale study at n=300 and 30 rounds, under a second
     per seed. Past a few sigma-hat the Welsch weight of the whale vanishes, so
     rx's control-group shift stays put from magnitude 100 to 1000 while mse_x's
-    grows about tenfold. The whale still moves rx's trees slightly (its floored
-    weight can shift a split), so only the shift and the anchor are compared."""
+    grows about tenfold. The whale still moves rx's trees slightly (its row
+    counts toward min_samples_leaf, and a weight that has not underflowed to 0
+    can shift a split), so only the shift and the anchor are compared."""
     fits = []
 
     def recording_fit_meta(data, spec):

@@ -24,7 +24,6 @@ from rxlearner.losses import (
     HUBER,
     LOGISTIC,
     SQUARED,
-    WEIGHT_FLOOR,
     LossSpec,
     loss_value,
 )
@@ -125,7 +124,7 @@ class TestFitTree:
         obj = [np.sum(w * (t - g) ** 2) for g in grid]
         assert np.sum(w * (t - v) ** 2) <= min(obj) + 1e-9
 
-    def test_weight_floor_keeps_every_unit(self):
+    def test_zero_weight_unit_still_gets_a_prediction(self):
         # a zero-weight unit still routes to a leaf and gets a prediction
         X = np.arange(10.0)[:, None]
         t = np.arange(10.0)
@@ -133,6 +132,19 @@ class TestFitTree:
         w[3] = 0.0
         tree = fit_tree(X, t, w, LOOSE)
         assert np.all(np.isfinite(tree.predict(X)))
+
+    def test_zero_weight_side_is_no_split(self):
+        # The whale weighs exactly 0, so it pulls on no leaf; a cut that leaves it
+        # alone on one side scores 0/0 and must not be picked, nor hide the others.
+        X = np.arange(5.0)[:, None]
+        t = np.array([0.0, 0.0, 1.0, 1.0, 100.0])
+        w = np.array([1.0, 1.0, 1.0, 1.0, 0.0])
+        config = BoostConfig(max_depth=1, min_samples_leaf=1, min_child_weight=0.0)
+        tree = fit_tree(X, t, w, config)
+        assert tree.threshold[0] == 1.5 and tree.value[1:].tolist() == [0.0, 1.0]
+        for name, got, ref in zip(("feature", "threshold", "left", "right", "value"),
+                                  tree_arrays(tree), reference_fit_tree(X, t, w, config)):
+            assert np.array_equal(got, ref, equal_nan=True), name
 
     def test_min_samples_leaf_respected(self):
         rng = np.random.default_rng(5)
@@ -175,7 +187,6 @@ def reference_fit_tree(X, t, w, config):
     The split search as it was before the presorted feature index; fit_tree
     must build bit-identical trees.
     """
-    w = np.maximum(w, WEIGHT_FLOOR)
     feature, threshold, left, right, value = [], [], [], [], []
 
     def best_split(xs, ts, ws):
@@ -188,7 +199,8 @@ def reference_fit_tree(X, t, w, config):
                  & (xs.size - pos - 1 >= config.min_samples_leaf))
         lw = cw[pos]
         rw = total_w - lw
-        valid &= (lw >= config.min_child_weight) & (rw >= config.min_child_weight)
+        least = max(config.min_child_weight, 5e-324)  # each side needs sum(w) > 0
+        valid &= (lw >= least) & (rw >= least)
         if not np.any(valid):
             return -np.inf, np.nan
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -829,7 +841,8 @@ class TestBoostConfig:
 @st.composite
 def contaminated_problems(draw):
     """(X, y, config): continuous outcomes at scale 2**k, |k| <= 40, with Pareto,
-    Cauchy or t2 whales, on features with or without ties."""
+    Cauchy or t2 whales, on features with or without ties. At min_child_weight 0
+    a cut can leave a side whose Welsch weights are all exactly 0."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, d = draw(st.integers(10, 150)), draw(st.integers(1, 4))
     X = rng.normal(size=(n, d))
@@ -842,6 +855,7 @@ def contaminated_problems(draw):
     y[whales] += 10.0 * tails[draw(st.sampled_from(sorted(tails)))][whales]
     config = BoostConfig(n_rounds=draw(st.integers(1, 20)), max_depth=draw(st.integers(1, 4)),
                          min_samples_leaf=draw(st.integers(1, 8)),
+                         min_child_weight=draw(st.sampled_from([0.0, 1.0])),
                          learning_rate=draw(st.sampled_from([0.1, 0.5, 1.0])))
     return X, y * 2.0 ** draw(st.integers(-40, 40)), config
 
@@ -954,17 +968,34 @@ class TestFitBoosted:
             model = fit_boosted(X, y, LossSpec(kind=kind), config)
             assert len(model.trees) == len(model.loss_trace) == config.n_rounds, kind
 
-    def test_failed_descent_stops_the_fit(self):
-        # sigma-hat = 4.4e-15 passes mad_scale's test (it is 5e-14 of the far point),
-        # but the far point's weight, raised to WEIGHT_FLOOR, moves the one leaf by far
-        # more than sigma-hat, so the step raises the loss and the fit stops there.
+    @pytest.mark.parametrize("kind", [HUBER, GAMMA_WELSCH])
+    def test_far_point_at_a_tiny_scale_runs_every_round(self, kind):
+        # sigma-hat = 4.4e-15 passes mad_scale's test (it is 5e-14 of the far
+        # point). The far point's weight is tiny or 0, and the one leaf is the
+        # exact weighted mean, so every step descends.
         X, y = np.array([[1.0], [1.0], [2.0]]), np.array([0.0, -3e-15, 0.085])
         config = BoostConfig(n_rounds=10, max_depth=1, min_samples_leaf=2, min_child_weight=0.0)
-        for kind in (HUBER, GAMMA_WELSCH):
-            model = fit_boosted(X, y, LossSpec(kind=kind), config)
-            trace = model.loss_trace
-            assert len(model.trees) == trace.size < config.n_rounds, kind
-            assert np.all(trace[1:] <= trace[:-1] + boosting.DESCENT_RTOL * np.abs(trace[:-1]))
+        model = fit_boosted(X, y, LossSpec(kind=kind), config)
+        trace = model.loss_trace
+        assert len(model.trees) == trace.size == config.n_rounds
+        assert np.all(trace[1:] <= trace[:-1])
+
+    def test_failed_descent_stops_the_fit(self):
+        # Steps descend but for rounding, so the stop is reached by reporting a
+        # rise: the round after k steps is refused and the fit keeps k trees.
+        k, rng = 3, np.random.default_rng(13)
+        X, y = rng.normal(size=(60, 2)), rng.normal(size=60)
+        objective, calls = boosting._objective, []
+
+        def rising_at_k(y, F, spec):
+            calls.append(None)  # call 0 is the start, call i + 1 round i's step
+            return objective(y, F, spec) + (1.0 if len(calls) == k + 2 else 0.0)
+
+        with mock.patch.object(boosting, "_objective", rising_at_k):
+            model = fit_boosted(X, y, LossSpec(kind=GAMMA_WELSCH), BoostConfig(n_rounds=10))
+        assert len(calls) == k + 2
+        assert len(model.trees) == model.loss_trace.size == k
+        assert np.all(np.isfinite(model.predict(X)))
 
     @pytest.mark.parametrize("kind", [SQUARED, HUBER, GAMMA_WELSCH])
     def test_last_trace_value_is_loss_of_predictions(self, kind):

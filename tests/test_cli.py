@@ -326,7 +326,8 @@ class TestExitCodes:
         ("rates: [0.0, 0.1]", "rates: 5", "rates: expected a list, got 5"),
         ("learners:\n  - {name: rx, kind: rx, boost: {n_rounds: 20}}", "learners: 5",
          "learners: expected a list, got 5"),
-        ("magnitudes: [0, 50]", "magnitudes: [0, x]", "magnitudes: expected a number, got 'x'"),
+        ("magnitudes: [0, 50]", "magnitudes: [0, x]",
+         "magnitudes[1] must be a finite number, got 'x'"),
         ("{name: rx, kind: rx,", "{name: [rx], kind: rx,", "learners[0].name: expected a string"),
         ("{name: rx, kind: rx,", "{name: rx, kind: [rx],", "learners[0].kind: unknown learner kind"),
         ("  n: 120", "  n: 120.5", "scenario: n must be an integer"),

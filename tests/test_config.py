@@ -110,6 +110,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=rf"{where}: {key} must be a finite number, got nan"):
             load_config(path)
 
+    # A listed rate or magnitude is checked as gamma is: YAML text, bools and
+    # non-finite values are rejected, naming the key and the item.
+    @pytest.mark.parametrize("key, value", [
+        ("magnitudes", ".nan"), ("magnitudes", ".inf"), ("magnitudes", "true"),
+        ("magnitudes", "'0.1'"), ("rates", "'0.1'"), ("rates", ".nan"),
+    ])
+    def test_listed_reals_must_be_finite_numbers(self, tmp_path, key, value):
+        path = tmp_path / "lists.yaml"
+        path.write_text("version: 1\nkind: scenario\nscenario: {n: 100, treated_fraction: 0.3}\n"
+                        f"learners: [{{name: rx, kind: rx}}]\n{key}: [0, {value}]\n")
+        with pytest.raises(ConfigError, match=rf"^{key}\[1\] must be a finite number, got "):
+            load_config(path)
+        assert getattr(parse_config(dict(MINIMAL, **{key: [0, 0.5]})), key) == [0.0, 0.5]
+
     def test_non_mapping_root(self):
         with pytest.raises(ConfigError):
             parse_config([1, 2])
